@@ -8,7 +8,6 @@ near r0 by checking the contraction structure of the problem on the computed
 trajectories.
 """
 
-from ._kernels import BACKEND, HAS_NUMBA
 from .errors import (ConfigError, ContractionViolationError, DomainError,
                      ModelValidationError, NonConvergenceError, StepSizeUnderflowError,
                      StreamuniqError, WindowCollapseError)
@@ -21,15 +20,12 @@ from .verify import (AnalysisResult, UniquenessReport, UniquenessWindow, check_l
                      run_uniqueness_analysis, trace_is_monotone,
                      window_restricted_delta_ratios)
 from .vorticity import (OSCILLATORY_C2_BOUND, HypothesisReport, VorticityModel,
-                        check_sign_condition, estimate_holder_constant, evaluate,
-                        validate_hypotheses, validate_oscillatory_constants,
-                        zero_vorticity)
+                        check_sign_condition, estimate_holder_constant, validate_hypotheses,
+                        validate_oscillatory_constants, zero_vorticity)
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "BACKEND",
-    "HAS_NUMBA",
     "AnalysisResult",
     "ConfigError",
     "ContractionViolationError",
@@ -57,7 +53,6 @@ __all__ = [
     "convergence_order_probe",
     "deviation_limit_trace",
     "estimate_holder_constant",
-    "evaluate",
     "kernel_integral",
     "kernel_integral_all",
     "kernel_prefix",

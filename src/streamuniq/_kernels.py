@@ -1,50 +1,16 @@
-"""Low-level numerical kernels, each with a numba twin and a numpy/python twin.
-
-The module resolves the active implementation once at import time.  Setting
-``STREAMUNIQ_DISABLE_NUMBA=1`` in the environment before import forces the
-fallback path even when numba is installed; the resolved choice is exposed as
-``BACKEND`` ("numba" or "numpy").  The ``*_numpy`` names are always available
-so the two paths can be compared directly (see ``benchmarks/bench_kernels.py``).
-"""
+"""Low-level numerical kernels: vorticity grids, prefix moments, the RK core."""
 
 from __future__ import annotations
 
-import os
-
 import numpy as np
-
-ENV_FLAG = "STREAMUNIQ_DISABLE_NUMBA"
-
-# vorticity kind codes shared with the model layer; custom callables never
-# enter the compiled path
-KIND_CLASSICAL = 0
-KIND_OSCILLATORY = 1
-
-
-def _numba_disabled() -> bool:
-    return os.environ.get(ENV_FLAG, "").strip().lower() in {"1", "true", "yes", "on"}
-
-
-HAS_NUMBA = False
-if not _numba_disabled():
-    try:
-        from numba import njit
-
-        HAS_NUMBA = True
-    except ImportError:
-        HAS_NUMBA = False
-
-BACKEND = "numba" if HAS_NUMBA else "numpy"
 
 
 # ---------------------------------------------------------------------------
 # scalar vorticity
 # ---------------------------------------------------------------------------
-# Uniform signature (c1, c2, psi) so the adaptive integrator can take either
-# builtin as a plain function argument; c1/c2 are ignored by the classical law.
 
 
-def f_classical(c1, c2, psi):
+def f_classical(psi):
     if psi == 0.0:
         return 0.0
     return psi - psi / np.sqrt(np.abs(psi))
@@ -63,28 +29,15 @@ def f_oscillatory(c1, c2, psi):
 # ---------------------------------------------------------------------------
 
 
-def vorticity_grid_numpy(kind, c1, c2, psi):
+def vorticity_grid(kind, c1, c2, psi):
+    """The builtin law of kind "classical" or "oscillatory" at every psi."""
     psi = np.asarray(psi, dtype=np.float64)
     root = np.sqrt(np.abs(psi))
     core = psi / np.where(root > 0.0, root, 1.0)
-    if kind == KIND_OSCILLATORY:
+    if kind == "oscillatory":
         t = psi * psi
         core = core * (1.0 + c1 - np.sin(c2 * t / (t + 1.0)))
     return psi - core
-
-
-def _vorticity_grid_loop(kind, c1, c2, psi, out):
-    for i in range(psi.shape[0]):
-        p = psi[i]
-        if p == 0.0:
-            out[i] = 0.0
-        elif kind == KIND_OSCILLATORY:
-            t = p * p
-            bracket = 1.0 + c1 - np.sin(c2 * t / (t + 1.0))
-            out[i] = p - (p / np.sqrt(np.abs(p))) * bracket
-        else:
-            out[i] = p - p / np.sqrt(np.abs(p))
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -99,7 +52,7 @@ def _vorticity_grid_loop(kind, c1, c2, psi, out):
 # the local integral, so no O(1) cancellation pollutes the near-r_0 pieces.
 
 
-def prefix_moments_numpy(nodes, log_weights, values):
+def prefix_moments(nodes, log_weights, values):
     a = nodes[:-1]
     b = nodes[1:]
     h = b - a
@@ -117,29 +70,6 @@ def prefix_moments_numpy(nodes, log_weights, values):
     B[0] = 0.0
     np.cumsum(p1, out=A[1:])
     np.cumsum(p2, out=B[1:])
-    return A, B
-
-
-def _prefix_moments_loop(nodes, log_weights, values, A, B):
-    acc_a = 0.0
-    acc_b = 0.0
-    A[0] = 0.0
-    B[0] = 0.0
-    for j in range(nodes.shape[0] - 1):
-        a = nodes[j]
-        b = nodes[j + 1]
-        h = b - a
-        va = values[j]
-        s = (values[j + 1] - va) / h
-        lab = np.log1p(h / a)
-        t1 = 0.5 * b * b * lab - 0.25 * h * (a + b)
-        t2 = (b * b * b) * lab / 3.0 - h * (b * b + a * b + a * a) / 9.0 - a * t1
-        p1 = va * h * (a + 0.5 * h) + s * h * h * (0.5 * a + h / 3.0)
-        p2 = log_weights[j] * p1 + va * t1 + s * t2
-        acc_a += p1
-        acc_b += p2
-        A[j + 1] = acc_a
-        B[j + 1] = acc_b
     return A, B
 
 
@@ -212,7 +142,7 @@ RK_BUDGET = 2
 RK_NONFINITE = 3
 
 
-def rk_core(f, c1, c2, u0, r_max, rtol, atol, h_init, h_min, h_max, nodes_out, psi_out, u_out):
+def rk_core(f, u0, r_max, rtol, atol, h_init, h_min, h_max, nodes_out, psi_out, u_out):
     """Integrate psi' = u/r, u' = -r*f(psi) from (nodes_out[0], 0, u0).
 
     Fills psi_out/u_out at every node of nodes_out (strictly increasing,
@@ -225,7 +155,7 @@ def rk_core(f, c1, c2, u0, r_max, rtol, atol, h_init, h_min, h_max, nodes_out, p
     psi_out[0] = 0.0
     u_out[0] = u0
     kp1 = u / t
-    ku1 = -t * f(c1, c2, p)
+    ku1 = -t * f(p)
     h = h_init
     facold = 1.0e-4
     idx = 1
@@ -259,37 +189,37 @@ def rk_core(f, c1, c2, u0, r_max, rtol, atol, h_init, h_min, h_max, nodes_out, p
         p2 = p + h * (_A21 * kp1)
         u2 = u + h * (_A21 * ku1)
         kp2 = u2 / s2
-        ku2 = -s2 * f(c1, c2, p2)
+        ku2 = -s2 * f(p2)
 
         s3 = t + _C3 * h
         p3 = p + h * (_A31 * kp1 + _A32 * kp2)
         u3 = u + h * (_A31 * ku1 + _A32 * ku2)
         kp3 = u3 / s3
-        ku3 = -s3 * f(c1, c2, p3)
+        ku3 = -s3 * f(p3)
 
         s4 = t + _C4 * h
         p4 = p + h * (_A41 * kp1 + _A42 * kp2 + _A43 * kp3)
         u4 = u + h * (_A41 * ku1 + _A42 * ku2 + _A43 * ku3)
         kp4 = u4 / s4
-        ku4 = -s4 * f(c1, c2, p4)
+        ku4 = -s4 * f(p4)
 
         s5 = t + _C5 * h
         p5 = p + h * (_A51 * kp1 + _A52 * kp2 + _A53 * kp3 + _A54 * kp4)
         u5 = u + h * (_A51 * ku1 + _A52 * ku2 + _A53 * ku3 + _A54 * ku4)
         kp5 = u5 / s5
-        ku5 = -s5 * f(c1, c2, p5)
+        ku5 = -s5 * f(p5)
 
         s6 = t + h
         p6 = p + h * (_A61 * kp1 + _A62 * kp2 + _A63 * kp3 + _A64 * kp4 + _A65 * kp5)
         u6 = u + h * (_A61 * ku1 + _A62 * ku2 + _A63 * ku3 + _A64 * ku4 + _A65 * ku5)
         kp6 = u6 / s6
-        ku6 = -s6 * f(c1, c2, p6)
+        ku6 = -s6 * f(p6)
 
         pn = p + h * (_B1 * kp1 + _B3 * kp3 + _B4 * kp4 + _B5 * kp5 + _B6 * kp6)
         un = u + h * (_B1 * ku1 + _B3 * ku3 + _B4 * ku4 + _B5 * ku5 + _B6 * ku6)
         s7 = t + h
         kp7 = un / s7
-        ku7 = -s7 * f(c1, c2, pn)
+        ku7 = -s7 * f(pn)
 
         ep = h * (_E1 * kp1 + _E3 * kp3 + _E4 * kp4 + _E5 * kp5 + _E6 * kp6 + _E7 * kp7)
         eu = h * (_E1 * ku1 + _E3 * ku3 + _E4 * ku4 + _E5 * ku5 + _E6 * ku6 + _E7 * ku7)
@@ -340,50 +270,6 @@ def rk_core(f, c1, c2, u0, r_max, rtol, atol, h_init, h_min, h_max, nodes_out, p
     return n_acc, n_rej, h, status, r_at
 
 
-# ---------------------------------------------------------------------------
-# path resolution
-# ---------------------------------------------------------------------------
-
+# perfbench/tracing.py times the RK core by wrapping this name, so rk_solve
+# looks it up on the module at call time
 rk_core_python = rk_core
-
-if HAS_NUMBA:
-    f_classical_numba = njit(cache=True)(f_classical)
-    f_oscillatory_numba = njit(cache=True)(f_oscillatory)
-    _vorticity_grid_loop_numba = njit(cache=True)(_vorticity_grid_loop)
-    _prefix_moments_loop_numba = njit(cache=True)(_prefix_moments_loop)
-    # the function-typed first argument defeats the on-disk cache
-    rk_core_numba = njit(cache=False)(rk_core)
-
-    def vorticity_grid_numba(kind, c1, c2, psi):
-        psi = np.asarray(psi, dtype=np.float64)
-        out = np.empty_like(psi)
-        return _vorticity_grid_loop_numba(kind, c1, c2, psi, out)
-
-    def prefix_moments_numba(nodes, log_weights, values):
-        n = nodes.shape[0]
-        A = np.empty(n, dtype=np.float64)
-        B = np.empty(n, dtype=np.float64)
-        return _prefix_moments_loop_numba(nodes, log_weights, values, A, B)
-
-    vorticity_grid = vorticity_grid_numba
-    prefix_moments = prefix_moments_numba
-else:
-    f_classical_numba = None
-    f_oscillatory_numba = None
-    rk_core_numba = None
-    vorticity_grid_numba = None
-    prefix_moments_numba = None
-
-    vorticity_grid = vorticity_grid_numpy
-    prefix_moments = prefix_moments_numpy
-
-
-def scalar_vorticity(kind):
-    """Return the active-path scalar callable for a builtin vorticity kind."""
-    if HAS_NUMBA:
-        return f_classical_numba if kind == KIND_CLASSICAL else f_oscillatory_numba
-    return f_classical if kind == KIND_CLASSICAL else f_oscillatory
-
-
-def active_rk_core():
-    return rk_core_numba if HAS_NUMBA else rk_core_python

@@ -22,7 +22,8 @@ from .errors import (ConfigError, ContractionViolationError, DomainError,
 from .picard import picard_solve
 from .rk import rk_solve
 from .svgplot import line_plot
-from .verify import continuity_sweep, run_uniqueness_analysis
+from .verify import (CONTRACTION_RATIO_MAX, CROSS_METHOD_SUP_MAX, LOWER_BOUND_TOL,
+                     continuity_sweep, run_uniqueness_analysis)
 from .vorticity import validate_hypotheses
 
 _CONFIG_ERRORS = (ConfigError, DomainError, ModelValidationError)
@@ -57,7 +58,8 @@ def write_trajectory_csv(path: str, traj) -> None:
 def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--config", help="INI run configuration")
-    common.add_argument("--out", help="output directory (default: out)")
+    common.add_argument("--out", help="output directory (default: out; validate-model "
+                                      "writes only when one is given)")
     common.add_argument("--r0", type=float, help="left endpoint, >= 1")
     common.add_argument("--psi1", type=float, help="initial slope, nonzero")
     common.add_argument("--model", choices=["classical", "oscillatory", "custom"],
@@ -119,8 +121,9 @@ def _load(args) -> cfgmod.RunConfig:
 
 
 def _outdir(cfg: cfgmod.RunConfig) -> str:
-    os.makedirs(cfg.out_dir, exist_ok=True)
-    return cfg.out_dir
+    out = cfg.out_dir if cfg.out_dir is not None else "out"
+    os.makedirs(out, exist_ok=True)
+    return out
 
 
 def cmd_integrate(cfg: cfgmod.RunConfig) -> int:
@@ -176,9 +179,9 @@ def cmd_verify(cfg: cfgmod.RunConfig) -> int:
             picard_tol=cfg.tol, picard_max_iter=cfg.max_iter,
             control=cfgmod.build_control(cfg))
         report = result.report
-        checks.append(("lower_bound", report.lower_bound_margin >= -1.0e-8))
-        checks.append(("contraction", report.contraction_ratio <= 0.55))
-        checks.append(("cross_method", report.cross_method_weighted_sup <= 1.0e-6))
+        checks.append(("lower_bound", report.lower_bound_margin >= -LOWER_BOUND_TOL))
+        checks.append(("contraction", report.contraction_ratio <= CONTRACTION_RATIO_MAX))
+        checks.append(("cross_method", report.cross_method_weighted_sup <= CROSS_METHOD_SUP_MAX))
     except ContractionViolationError as exc:
         checks.append(("contraction", False))
         for name, ok in checks:
@@ -238,21 +241,10 @@ def cmd_validate_model(cfg: cfgmod.RunConfig) -> int:
              f"verdict = {_fmt(report.verdict)}"]
     text = "\n".join(lines)
     print(text)
-    write_atomic_if_requested(cfg, "hypothesis.txt", text + "\n")
+    # a bare run only prints; --out or [run] out also writes the file
+    if cfg.out_dir is not None:
+        write_atomic(os.path.join(_outdir(cfg), "hypothesis.txt"), text + "\n")
     return 0 if report.verdict else 1
-
-
-class RunConfigDefaults:
-    out_dir = cfgmod.RunConfig().out_dir
-
-
-def write_atomic_if_requested(cfg: cfgmod.RunConfig, name: str, text: str) -> None:
-    # validate-model writes a file only when an output directory was chosen
-    # explicitly (flag or config); a bare run just prints
-    if cfg.out_dir == RunConfigDefaults.out_dir:
-        return
-    os.makedirs(cfg.out_dir, exist_ok=True)
-    write_atomic(os.path.join(cfg.out_dir, name), text)
 
 
 def main(argv=None) -> int:

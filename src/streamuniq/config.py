@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import configparser
 import importlib
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 
 from .errors import ConfigError
 from .grids import RadialGrid
@@ -47,7 +47,7 @@ class RunConfig:
     h_min: float | None = None
     h_max: float | None = None
     r_max: float | None = None
-    out_dir: str = "out"
+    out_dir: str | None = None
     sweep_psi1: list[float] = field(default_factory=lambda: [1.0, 1.001, 1.01])
 
 
@@ -181,8 +181,3 @@ def build_grid(cfg: RunConfig, r0: float, r_max: float) -> RadialGrid:
 def build_control(cfg: RunConfig) -> StepControl:
     return StepControl(rel_tol=cfg.rel_tol, abs_tol=cfg.abs_tol,
                        h_init=cfg.h_init, h_min=cfg.h_min, h_max=cfg.h_max)
-
-
-def describe(cfg: RunConfig) -> str:
-    parts = [f"{f.name}={getattr(cfg, f.name)!r}" for f in fields(cfg)]
-    return "RunConfig(" + ", ".join(parts) + ")"

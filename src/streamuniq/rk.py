@@ -22,8 +22,6 @@ from .grids import RadialGrid
 from .picard import Trajectory, _require_valid, _window_end
 from .vorticity import HypothesisReport, VorticityModel
 
-_KIND_CODES = {"classical": _kernels.KIND_CLASSICAL, "oscillatory": _kernels.KIND_OSCILLATORY}
-
 
 @dataclass(frozen=True)
 class StepControl:
@@ -104,18 +102,8 @@ def rk_solve(model: VorticityModel, r0: float, psi1: float, r_max: float,
     psi_out = np.empty_like(nodes)
     u_out = np.empty_like(nodes)
 
-    if model.kind == "custom":
-        core = _kernels.rk_core_python
-        f = _as_scalar_signature(model.fn)
-    elif _kernels.HAS_NUMBA:
-        core = _kernels.rk_core_numba
-        f = _kernels.scalar_vorticity(_KIND_CODES[model.kind])
-    else:
-        core = _kernels.rk_core_python
-        f = _kernels.f_classical if model.kind == "classical" else _kernels.f_oscillatory
-
-    n_acc, n_rej, h_last, status, r_at = core(
-        f, model.c1, model.c2, u0, r_max, control.rel_tol, control.abs_tol,
+    n_acc, n_rej, h_last, status, r_at = _kernels.rk_core_python(
+        model.evaluate, u0, r_max, control.rel_tol, control.abs_tol,
         h_init, h_min, h_max, nodes, psi_out, u_out)
 
     if status == _kernels.RK_UNDERFLOW:
@@ -135,12 +123,6 @@ def rk_solve(model: VorticityModel, r0: float, psi1: float, r_max: float,
     diag = RKDiagnostics(n_accepted=int(n_acc), n_rejected=int(n_rej), h_final=float(h_last),
                          rel_tol=control.rel_tol, abs_tol=control.abs_tol)
     return traj, diag
-
-
-def _as_scalar_signature(fn):
-    def wrapped(c1, c2, psi):
-        return fn(psi)
-    return wrapped
 
 
 def convergence_order_probe(model: VorticityModel, r0: float, psi1: float, r_max: float,

@@ -39,6 +39,11 @@ _LOG_CAP_MARGIN = 1.0e-9
 BINDING_LOG = "log"
 BINDING_QUADRATIC = "quadratic"
 
+# verdict thresholds; cli.cmd_verify prints one check per threshold
+LOWER_BOUND_TOL = 1.0e-8
+CONTRACTION_RATIO_MAX = 0.55
+CROSS_METHOD_SUP_MAX = 1.0e-6
+
 
 @dataclass(frozen=True)
 class UniquenessWindow:
@@ -117,9 +122,8 @@ def compute_r2(r0: float, psi1: float, holder_C: float) -> UniquenessWindow:
                             window_end_effective=log_cap)
 
 
-def _window_slice(traj: Trajectory, window: UniquenessWindow) -> slice:
-    end = window.window_end_effective
-    iw = traj.grid.index_at(end)
+def _window_slice(grid: RadialGrid, window: UniquenessWindow) -> slice:
+    iw = grid.index_at(window.window_end_effective)
     if iw < 1:
         raise DomainError("certification window contains no interior node")
     return slice(1, iw + 1)
@@ -131,7 +135,7 @@ def check_lower_bound(traj: Trajectory, window: UniquenessWindow) -> float:
     Nonnegative (within discretization) when the solution dominates the
     logarithmic term, which the contraction argument requires.
     """
-    sl = _window_slice(traj, window)
+    sl = _window_slice(traj.grid, window)
     a = abs(traj.r0psi1)
     sign = 1.0 if traj.r0psi1 > 0.0 else -1.0
     m = a * traj.grid.log_weights[sl]
@@ -209,13 +213,13 @@ def contraction_probe(model: VorticityModel, traj_a: Trajectory, traj_b: Traject
         raise DomainError("slack must be a finite nonnegative number")
     pre_a = check_lower_bound(traj_a, window)
     pre_b = check_lower_bound(traj_b, window)
-    floor = -(1.0e-8 + slack)
+    floor = -(LOWER_BOUND_TOL + slack)
     if pre_a < floor or pre_b < floor:
         raise DomainError(
             f"lower-bound precondition violated (margins {pre_a!r}, {pre_b!r}); "
             "the contraction argument does not apply")
     x = _paired_deviation(traj_a, traj_b)
-    sl = _window_slice(traj_a, window)
+    sl = _window_slice(traj_a.grid, window)
     nodes = traj_a.grid.nodes
     lw = traj_a.grid.log_weights
     stop = sl.stop
@@ -246,20 +250,13 @@ def window_restricted_delta_ratios(diagnostics: PicardDiagnostics, grid: RadialG
     Ratios are only formed while the denominator delta sits above
     noise_floor; below that the deltas measure roundoff, not contraction.
     """
-    sl = _window_slice_nodes(grid, window)
+    sl = _window_slice(grid, window)
     lw = grid.log_weights
     deltas = []
     for prev, cur in zip(diagnostics.iterates, diagnostics.iterates[1:]):
         d = np.abs(cur[sl] - prev[sl]) / lw[sl]
         deltas.append(float(d.max()))
     return [b / a for a, b in zip(deltas, deltas[1:]) if a > noise_floor]
-
-
-def _window_slice_nodes(grid: RadialGrid, window: UniquenessWindow) -> slice:
-    iw = grid.index_at(window.window_end_effective)
-    if iw < 1:
-        raise DomainError("certification window contains no interior node")
-    return slice(1, iw + 1)
 
 
 def run_uniqueness_analysis(model: VorticityModel, r0: float = 1.0, psi1: float = 1.0,
@@ -294,7 +291,6 @@ def run_uniqueness_analysis(model: VorticityModel, r0: float = 1.0, psi1: float 
                                 validation=hypothesis)
 
     window = window0.clipped(min(traj_p.window_end, traj_rk.window_end))
-    sign = 1.0 if psi1 > 0.0 else -1.0
 
     rk_defect_w = residual(model, traj_rk, weighted=True)
     slack = 10.0 * (picard_tol + control.rel_tol) + 3.0 * rk_defect_w
@@ -304,21 +300,15 @@ def run_uniqueness_analysis(model: VorticityModel, r0: float = 1.0, psi1: float 
     ratios = window_restricted_delta_ratios(diag_p, grid, window)
     contraction_ratio = max(ratios) if ratios else 0.0
 
-    sl = _window_slice_nodes(grid, window)
+    sl = _window_slice(grid, window)
     dev = np.abs(traj_p.psi[sl] - traj_rk.psi[sl]) / grid.log_weights[sl]
     cross_sup = float(dev.max())
 
-    # normalize the pair so the probe sees the positive branch
-    pa, pb = traj_p, traj_rk
-    if sign < 0.0:
-        pa = Trajectory(grid=grid, psi=-traj_p.psi, u=-traj_p.u,
-                        window_end=traj_p.window_end, method_tag=traj_p.method_tag)
-        pb = Trajectory(grid=grid, psi=-traj_rk.psi, u=-traj_rk.u,
-                        window_end=traj_rk.window_end, method_tag=traj_rk.method_tag)
-    probe_ratio = contraction_probe(model, pa, pb, window, slack=slack)
-    trace = deviation_limit_trace(pa, pb, window)
+    probe_ratio = contraction_probe(model, traj_p, traj_rk, window, slack=slack)
+    trace = deviation_limit_trace(traj_p, traj_rk, window)
 
-    verdict = (margin >= -1.0e-8) and (contraction_ratio <= 0.55) and (cross_sup <= 1.0e-6)
+    verdict = (margin >= -LOWER_BOUND_TOL and contraction_ratio <= CONTRACTION_RATIO_MAX
+               and cross_sup <= CROSS_METHOD_SUP_MAX)
     report = UniquenessReport(
         r2=window.r2,
         binding_constraint=window.binding_constraint,

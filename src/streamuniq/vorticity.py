@@ -28,8 +28,6 @@ OSCILLATORY_C2_BOUND = (17.0 * math.sqrt(2.0) - 24.0) / 2.0
 
 _EQ_RTOL = 1.0e-12  # equality within this relative tolerance counts as a tie
 
-_KIND_CODES = {"classical": _kernels.KIND_CLASSICAL, "oscillatory": _kernels.KIND_OSCILLATORY}
-
 
 def zero_vorticity(psi: float) -> float:
     """Identically zero law; useful for calibration runs (fails the sign check)."""
@@ -111,18 +109,14 @@ class VorticityModel:
         if self.kind == "custom":
             return float(self.fn(psi))
         if self.kind == "classical":
-            return float(_kernels.f_classical(self.c1, self.c2, psi))
+            return float(_kernels.f_classical(psi))
         return float(_kernels.f_oscillatory(self.c1, self.c2, psi))
 
     def evaluate_grid(self, psi) -> np.ndarray:
         arr = np.asarray(psi, dtype=np.float64)
         if self.kind == "custom":
             return np.frompyfunc(self.fn, 1, 1)(arr).astype(np.float64)
-        return _kernels.vorticity_grid(_KIND_CODES[self.kind], self.c1, self.c2, arr)
-
-
-def evaluate(model: VorticityModel, psi: float) -> float:
-    return model.evaluate(psi)
+        return _kernels.vorticity_grid(self.kind, self.c1, self.c2, arr)
 
 
 @dataclass(frozen=True)

@@ -119,6 +119,14 @@ def test_validate_model_writes_on_request(tmp_path, capsys):
     assert "verdict = true" in text
 
 
+def test_validate_model_writes_to_explicit_default_dir(tmp_path, capsys, monkeypatch):
+    # "--out out" names the same directory the other commands fall back to,
+    # but it is still an explicit request to write
+    monkeypatch.chdir(tmp_path)
+    assert main(["validate-model", "--out", "out"]) == 0
+    assert "verdict = true" in _read(tmp_path / "out" / "hypothesis.txt")
+
+
 def test_validate_model_rejecting_exits_one(tmp_path, capsys):
     cfgfile = tmp_path / "zero.ini"
     cfgfile.write_text(

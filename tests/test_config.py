@@ -63,7 +63,7 @@ def test_defaults():
     assert cfg.tol == 1e-10
     assert cfg.rel_tol == 1e-10
     assert cfg.abs_tol == 1e-16
-    assert cfg.out_dir == "out"
+    assert cfg.out_dir is None
     assert cfg.sweep_psi1 == [1.0, 1.001, 1.01]
 
 

@@ -1,23 +1,12 @@
-import os
-import subprocess
-import sys
-
 import numpy as np
-import pytest
 
-from streamuniq import _kernels
-from streamuniq._kernels import (ENV_FLAG, KIND_CLASSICAL, KIND_OSCILLATORY,
-                                 f_classical, f_oscillatory, prefix_moments_numpy,
-                                 vorticity_grid_numpy)
-
-HAS_NUMBA = _kernels.HAS_NUMBA
-needs_numba = pytest.mark.skipif(not HAS_NUMBA, reason="numba backend unavailable")
+from streamuniq._kernels import f_classical, f_oscillatory, prefix_moments, vorticity_grid
 
 
 def test_scalar_laws_match_reference():
     psi = 0.1796875
     ref = psi - psi / np.sqrt(psi)
-    np.testing.assert_allclose(f_classical(0.0, 0.0, psi), ref, rtol=0, atol=0)
+    np.testing.assert_allclose(f_classical(psi), ref, rtol=0, atol=0)
     c1, c2 = np.sin(0.01), 0.02
     mod = 1.0 + c1 - np.sin(c2 * psi * psi / (psi * psi + 1.0))
     ref_osc = psi - (psi / np.sqrt(psi)) * mod
@@ -25,21 +14,21 @@ def test_scalar_laws_match_reference():
 
 
 def test_scalar_laws_at_zero_and_odd():
-    assert f_classical(0.0, 0.0, 0.0) == 0.0
+    assert f_classical(0.0) == 0.0
     assert f_oscillatory(np.sin(0.01), 0.02, 0.0) == 0.0
     for psi in (1e-12, 0.03, 0.25):
-        assert f_classical(0.0, 0.0, -psi) == -f_classical(0.0, 0.0, psi)
+        assert f_classical(-psi) == -f_classical(psi)
         assert f_oscillatory(np.sin(0.01), 0.02, -psi) == -f_oscillatory(
             np.sin(0.01), 0.02, psi)
 
 
 def test_grid_vorticity_matches_scalar():
     psi = np.linspace(-0.25, 0.25, 321)
-    got = vorticity_grid_numpy(KIND_CLASSICAL, 0.0, 0.0, psi)
-    ref = np.array([f_classical(0.0, 0.0, p) for p in psi])
+    got = vorticity_grid("classical", 0.0, 0.0, psi)
+    ref = np.array([f_classical(p) for p in psi])
     np.testing.assert_array_equal(got, ref)
     c1, c2 = np.sin(0.01), 0.02
-    got = vorticity_grid_numpy(KIND_OSCILLATORY, c1, c2, psi)
+    got = vorticity_grid("oscillatory", c1, c2, psi)
     ref = np.array([f_oscillatory(c1, c2, p) for p in psi])
     np.testing.assert_array_equal(got, ref)
 
@@ -51,7 +40,7 @@ def test_prefix_moments_against_direct_sums():
     values = rng.normal(size=40)
     lw = np.log(nodes / nodes[0])
     lw[0] = 0.0
-    A, B = prefix_moments_numpy(nodes, lw, values)
+    A, B = prefix_moments(nodes, lw, values)
     assert A[0] == 0.0 and B[0] == 0.0
 
     # A accumulates int tau*v dtau of the piecewise-linear interpolant;
@@ -80,60 +69,3 @@ def test_prefix_moments_against_direct_sums():
             total += half * np.sum(w * tau * np.log(r_end / tau) * vlin)
         np.testing.assert_allclose(lw[idx] * A[idx] - B[idx], total,
                                    rtol=0, atol=1e-14)
-
-
-@needs_numba
-def test_numba_twins_match_numpy():
-    rng = np.random.default_rng(3)
-    psi = rng.uniform(-0.25, 0.25, 2000)
-    for kind, c1, c2 in ((KIND_CLASSICAL, 0.0, 0.0),
-                         (KIND_OSCILLATORY, float(np.sin(0.01)), 0.02)):
-        np.testing.assert_array_equal(
-            _kernels.vorticity_grid_numba(kind, c1, c2, psi),
-            vorticity_grid_numpy(kind, c1, c2, psi))
-    nodes = np.sort(rng.uniform(1.0, 2.0, 300))
-    nodes[0] = 1.0
-    values = rng.normal(size=300)
-    lw = np.log(nodes / nodes[0])
-    lw[0] = 0.0
-    A_nb, B_nb = _kernels.prefix_moments_numba(nodes, lw, values)
-    A_np, B_np = prefix_moments_numpy(nodes, lw, values)
-    # cumsum in the numpy twin sums pairwise, the loop sums sequentially
-    np.testing.assert_allclose(A_nb, A_np, rtol=1e-12, atol=1e-14)
-    np.testing.assert_allclose(B_nb, B_np, rtol=1e-12, atol=1e-14)
-
-
-def test_backend_label_consistent():
-    assert _kernels.BACKEND in ("numba", "numpy")
-    if HAS_NUMBA and os.environ.get(ENV_FLAG, "") not in ("1", "true", "yes"):
-        assert _kernels.BACKEND == "numba"
-
-
-def test_env_flag_forces_numpy_backend():
-    code = (
-        "import streamuniq._kernels as k; "
-        "print(k.BACKEND); "
-        "print(k.vorticity_grid is k.vorticity_grid_numpy)"
-    )
-    env = dict(os.environ, **{ENV_FLAG: "1"})
-    out = subprocess.run([sys.executable, "-c", code], env=env,
-                         capture_output=True, text=True, check=True)
-    lines = out.stdout.split()
-    assert lines[0] == "numpy"
-    assert lines[1] == "True"
-
-
-def test_disabled_backend_results_identical():
-    code = (
-        "import numpy as np, streamuniq as sq; "
-        "res = sq.run_uniqueness_analysis(sq.VorticityModel.classical()); "
-        "print(repr(res.report.cross_method_weighted_sup)); "
-        "print(repr(float(res.traj_picard.psi[-1])))"
-    )
-    runs = {}
-    for flag in ("0", "1"):
-        env = dict(os.environ, **{ENV_FLAG: flag})
-        out = subprocess.run([sys.executable, "-c", code], env=env,
-                             capture_output=True, text=True, check=True)
-        runs[flag] = out.stdout
-    assert runs["0"] == runs["1"]

@@ -95,7 +95,6 @@ def test_step_size_underflow(classical_model):
 
 
 def test_step_budget_exhaustion(classical_model, monkeypatch):
-    monkeypatch.setattr(_kernels, "HAS_NUMBA", False)
     monkeypatch.setattr(_kernels, "_MAX_STEPS", 20)
     with pytest.raises(NonConvergenceError, match="budget"):
         rk_solve(classical_model, 1.0, 1.0, 1.5)
