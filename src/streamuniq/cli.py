@@ -23,7 +23,7 @@ from .picard import picard_solve
 from .rk import rk_solve
 from .svgplot import line_plot
 from .verify import (CONTRACTION_RATIO_MAX, CROSS_METHOD_SUP_MAX, LOWER_BOUND_TOL,
-                     continuity_sweep, run_uniqueness_analysis)
+                     continuity_sweep, default_r_max, run_uniqueness_analysis)
 from .vorticity import validate_hypotheses
 
 _CONFIG_ERRORS = (ConfigError, DomainError, ModelValidationError)
@@ -38,21 +38,38 @@ def _fmt(x) -> str:
     return str(x)
 
 
+CSV_BLOCK_ROWS = 65536
+
+
 def write_atomic(path: str, text: str) -> None:
     tmp = path + ".tmp"
-    with open(tmp, "w", encoding="utf-8") as fh:
-        fh.write(text)
-    os.replace(tmp, path)
+    fh = open(tmp, "w", encoding="utf-8")
+    try:
+        with fh:
+            fh.write(text)
+        os.replace(tmp, path)
+    except BaseException:
+        os.remove(tmp)
+        raise
 
 
-def write_csv(path: str, header: str, rows) -> None:
-    lines = [header]
-    lines.extend(",".join(_fmt(v) for v in row) for row in rows)
-    write_atomic(path, "\n".join(lines) + "\n")
+def write_csv(path: str, header: str, columns) -> None:
+    """Write equal-length columns of floats, one %.17g row per index.
+
+    Rows are formatted CSV_BLOCK_ROWS at a time, so the Python floats of
+    only one block exist next to the text being built.
+    """
+    columns = [np.asarray(c, dtype=np.float64) for c in columns]
+    row = ",".join(["{:.17g}"] * len(columns)) + "\n"
+    parts = [header + "\n"]
+    for start in range(0, columns[0].size, CSV_BLOCK_ROWS):
+        block = [c[start:start + CSV_BLOCK_ROWS].tolist() for c in columns]
+        parts.append("".join(map(row.format, *block)))
+    write_atomic(path, "".join(parts))
 
 
 def write_trajectory_csv(path: str, traj) -> None:
-    write_csv(path, "r,psi,u", zip(traj.nodes, traj.psi, traj.u))
+    write_csv(path, "r,psi,u", (traj.nodes, traj.psi, traj.u))
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -170,12 +187,13 @@ def cmd_verify(cfg: cfgmod.RunConfig) -> int:
         print("verdict = false")
         return 1
 
-    grid = None
-    if cfg.r_max is not None:
-        grid = cfgmod.build_grid(cfg, cfg.r0, cfg.r_max)
+    r_max = cfg.r_max
+    if r_max is None:
+        r_max = default_r_max(model, cfg.r0, cfg.psi1)
+    grid = cfgmod.build_grid(cfg, cfg.r0, r_max)
     try:
         result = run_uniqueness_analysis(
-            model, r0=cfg.r0, psi1=cfg.psi1, r_max=cfg.r_max, grid=grid,
+            model, r0=cfg.r0, psi1=cfg.psi1, r_max=r_max, grid=grid,
             picard_tol=cfg.tol, picard_max_iter=cfg.max_iter,
             control=cfgmod.build_control(cfg))
         report = result.report
@@ -195,11 +213,11 @@ def cmd_verify(cfg: cfgmod.RunConfig) -> int:
     lines.append(f"holder_sup = {_fmt(hypothesis.holder_sup)}")
     lines.append(f"holder_C = {_fmt(model.holder_C)}")
     write_atomic(os.path.join(out, "report.txt"), "\n".join(lines) + "\n")
-    write_csv(os.path.join(out, "trace.csv"), "r,y", report.deviation_limit_trace)
-    write_trajectory_csv(os.path.join(out, "trajectory_picard.csv"), result.traj_picard)
-    write_trajectory_csv(os.path.join(out, "trajectory_rk.csv"), result.traj_rk)
     trace_r = [r for r, _ in report.deviation_limit_trace]
     trace_y = [y for _, y in report.deviation_limit_trace]
+    write_csv(os.path.join(out, "trace.csv"), "r,y", (trace_r, trace_y))
+    write_trajectory_csv(os.path.join(out, "trajectory_picard.csv"), result.traj_picard)
+    write_trajectory_csv(os.path.join(out, "trajectory_rk.csv"), result.traj_rk)
     svg = line_plot([("weighted deviation", trace_r, trace_y)],
                     "Cross-method weighted deviation toward r0", "r", "y(r)")
     write_atomic(os.path.join(out, "trace.svg"), svg)
@@ -217,9 +235,9 @@ def cmd_sweep(cfg: cfgmod.RunConfig) -> int:
     rows = continuity_sweep(model, cfg.r0, cfg.sweep_psi1, r_max=r_max,
                             grid=grid, tol=cfg.tol)
     out = _outdir(cfg)
-    write_csv(os.path.join(out, "sweep.csv"), "dpsi1,sup_dev", rows)
     xs = [r for r, _ in rows]
     ys = [s for _, s in rows]
+    write_csv(os.path.join(out, "sweep.csv"), "dpsi1,sup_dev", (xs, ys))
     svg = line_plot([("sup deviation", xs, ys)],
                     "Weighted deviation vs initial-slope perturbation",
                     "dpsi1", "sup_dev")

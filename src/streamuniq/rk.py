@@ -7,7 +7,9 @@ The second-order equation is driven as the first-order system
 where u = r * psi' stays constant whenever f vanishes.  The stepper is a
 Dormand-Prince 5(4) pair with FSAL, a PI controller (safety 0.9, beta 0.04)
 and a quartic dense-output interpolant used to fill the requested output
-nodes, so output resolution never constrains step selection.
+nodes, so output resolution never constrains step selection.  Each accepted
+step fills every output node it covers in one vectorised evaluation of the
+interpolant, so the cost per output node is a few array operations.
 """
 
 from __future__ import annotations

@@ -259,6 +259,14 @@ def window_restricted_delta_ratios(diagnostics: PicardDiagnostics, grid: RadialG
     return [b / a for a, b in zip(deltas, deltas[1:]) if a > noise_floor]
 
 
+def default_r_max(model: VorticityModel, r0: float, psi1: float) -> float:
+    """Right endpoint used when none is given: r0 + 1.25*(r2 - r0)."""
+    if not (np.isfinite(psi1) and psi1 != 0.0):
+        raise DomainError("psi1 must be finite and nonzero")
+    r2 = compute_r2(r0, abs(psi1), model.holder_C).r2
+    return r0 + 1.25 * (r2 - r0)
+
+
 def run_uniqueness_analysis(model: VorticityModel, r0: float = 1.0, psi1: float = 1.0,
                             r_max: float | None = None, grid: RadialGrid | None = None,
                             picard_tol: float = 1.0e-10, picard_max_iter: int = 60,
@@ -277,7 +285,7 @@ def run_uniqueness_analysis(model: VorticityModel, r0: float = 1.0, psi1: float 
     hypothesis = validate_hypotheses(model)
     window0 = compute_r2(r0, abs(psi1), model.holder_C)
     if r_max is None:
-        r_max = r0 + 1.25 * (window0.r2 - r0)
+        r_max = default_r_max(model, r0, psi1)
     if grid is None:
         grid = RadialGrid.geometric(r0, r_max, 2049)
     control = control or StepControl()

@@ -5,7 +5,9 @@ import sys
 import numpy as np
 import pytest
 
-from streamuniq.cli import main
+import streamuniq
+from streamuniq import RadialGrid, VorticityModel, continuity_sweep, run_uniqueness_analysis
+from streamuniq.cli import CSV_BLOCK_ROWS, main, write_atomic, write_csv
 
 
 def _read(path):
@@ -16,6 +18,21 @@ def _read(path):
 def _csv_rows(path):
     lines = _read(path).strip().splitlines()
     return lines[0], [line.split(",") for line in lines[1:]]
+
+
+def _reference_csv(header, rows):
+    # the CSV text as it was built before write_csv formatted whole blocks:
+    # one str.format per value, rows joined by newlines
+    def fmt(x):
+        if isinstance(x, (bool, np.bool_)):
+            return "true" if x else "false"
+        if isinstance(x, (float, np.floating)):
+            return f"{float(x):.17g}"
+        return str(x)
+
+    lines = [header]
+    lines.extend(",".join(fmt(v) for v in row) for row in rows)
+    return "\n".join(lines) + "\n"
 
 
 def test_integrate_picard(tmp_path, capsys):
@@ -78,6 +95,8 @@ def test_verify_classical(tmp_path, capsys):
     header, rows = _csv_rows(out / "trace.csv")
     assert header == "r,y"
     assert len(rows) == 12
+    trace = run_uniqueness_analysis(VorticityModel.classical()).report.deviation_limit_trace
+    assert _read(out / "trace.csv") == _reference_csv("r,y", trace)
     assert (out / "trajectory_picard.csv").exists()
     assert (out / "trajectory_rk.csv").exists()
     svg = _read(out / "trace.svg")
@@ -148,6 +167,41 @@ def test_sweep(tmp_path, capsys):
     assert 1e-4 < float(rows[0][1]) < 1e-2
     assert (out / "sweep.svg").exists()
     assert "dpsi1 = " in capsys.readouterr().out
+    expected = continuity_sweep(VorticityModel.classical(), 1.0, [1.0, 1.001], r_max=1.4,
+                                grid=RadialGrid.geometric(1.0, 1.4, 257))
+    assert _read(out / "sweep.csv") == _reference_csv("dpsi1,sup_dev", expected)
+
+
+def test_write_csv_matches_per_value_reference(tmp_path):
+    n = 2 * CSV_BLOCK_ROWS + 3
+    rng = np.random.default_rng(3)
+    special = np.array([0.0, -0.0, 5e-324, 1e300, np.nan, np.inf, -np.inf, 0.1, -1e-300])
+    cols = [np.linspace(1.0, 2.0, n), rng.standard_normal(n) * 10.0 ** rng.integers(-300, 300, n),
+            np.resize(special, n)]
+    # put the special values on both sides of each block boundary too
+    for edge in (CSV_BLOCK_ROWS - 4, 2 * CSV_BLOCK_ROWS - 6):
+        cols[1][edge:edge + special.size] = special
+    path = str(tmp_path / "t.csv")
+    write_csv(path, "a,b,c", cols)
+    assert _read(path) == _reference_csv("a,b,c", zip(*cols))
+    write_csv(path, "a", [[]])
+    assert _read(path) == "a\n"
+
+
+def test_write_atomic_removes_temp_file_on_failure(tmp_path):
+    target = tmp_path / "trajectory_rk.csv"
+    target.mkdir()
+    with pytest.raises(OSError):
+        write_atomic(str(target), "r,psi,u\n")
+    assert sorted(os.listdir(tmp_path)) == ["trajectory_rk.csv"]
+    assert target.is_dir()
+
+
+def test_verify_honours_nodes_without_r_max(tmp_path, capsys):
+    out = tmp_path / "cert"
+    assert main(["verify", "--nodes", "513", "--out", str(out)]) == 0
+    for name in ("trajectory_picard.csv", "trajectory_rk.csv"):
+        assert len(_read(out / name).splitlines()) == 514
 
 
 @pytest.mark.parametrize("argv", [
@@ -206,7 +260,10 @@ def test_rk_underflow_exits_three(tmp_path, capsys):
 
 
 def test_module_entrypoint_runs():
+    # the child imports the same package as this process, installed or not
+    src = os.path.dirname(os.path.dirname(streamuniq.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     out = subprocess.run([sys.executable, "-m", "streamuniq", "validate-model"],
-                         capture_output=True, text=True)
+                         capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=path))
     assert out.returncode == 0
     assert "verdict = true" in out.stdout
