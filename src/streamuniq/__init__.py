@@ -13,8 +13,8 @@ from .errors import (ConfigError, ContractionViolationError, DomainError,
                      StreamuniqError, WindowCollapseError)
 from .grids import RadialGrid
 from .picard import (PicardDiagnostics, Trajectory, picard_solve, residual, weighted_norm)
-from .quadrature import kernel_integral, kernel_integral_all, kernel_prefix
-from .rk import (RKDiagnostics, StepControl, convergence_order_probe, rhs, rk_solve)
+from .quadrature import kernel_integral_all, kernel_prefix
+from .rk import (RKDiagnostics, StepControl, convergence_order_probe, rk_solve)
 from .verify import (AnalysisResult, UniquenessReport, UniquenessWindow, check_lower_bound,
                      compute_r2, continuity_sweep, contraction_probe, deviation_limit_trace,
                      run_uniqueness_analysis, trace_is_monotone,
@@ -53,12 +53,10 @@ __all__ = [
     "convergence_order_probe",
     "deviation_limit_trace",
     "estimate_holder_constant",
-    "kernel_integral",
     "kernel_integral_all",
     "kernel_prefix",
     "picard_solve",
     "residual",
-    "rhs",
     "rk_solve",
     "run_uniqueness_analysis",
     "trace_is_monotone",

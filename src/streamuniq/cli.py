@@ -2,9 +2,10 @@
 
 Subcommands: integrate, verify, sweep, validate-model.  Exit status contract:
 0 success, 1 a verification or validation check failed, 2 configuration or
-usage errors, 3 solver failures (non-convergence, window collapse, step
-underflow).  All files are written atomically (temp file + rename) so a
-crashed run never leaves a partial artifact behind.
+usage errors and output-write errors, 3 solver failures (non-convergence,
+window collapse, step underflow).  All files are written atomically (temp
+file + rename), and a command whose later write fails removes the files it
+already wrote, so a crashed run never leaves a partial artifact behind.
 """
 
 from __future__ import annotations
@@ -12,6 +13,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from dataclasses import fields
 
 import numpy as np
 
@@ -26,7 +28,9 @@ from .verify import (CONTRACTION_RATIO_MAX, CROSS_METHOD_SUP_MAX, LOWER_BOUND_TO
                      continuity_sweep, default_r_max, run_uniqueness_analysis)
 from .vorticity import validate_hypotheses
 
-_CONFIG_ERRORS = (ConfigError, DomainError, ModelValidationError)
+# exit 2: configuration and usage errors, and output directories or files
+# that cannot be written
+_CONFIG_ERRORS = (ConfigError, DomainError, ModelValidationError, OSError)
 _SOLVER_ERRORS = (NonConvergenceError, WindowCollapseError, StepSizeUnderflowError)
 
 
@@ -72,14 +76,34 @@ def write_trajectory_csv(path: str, traj) -> None:
     write_csv(path, "r,psi,u", (traj.nodes, traj.psi, traj.u))
 
 
+def _write_artifacts(out: str, artifacts) -> None:
+    """Call write(os.path.join(out, name)) for each (name, write) in order.
+
+    When one write fails, the files already written by this call are removed
+    before the error propagates, so a run never leaves a partial set behind.
+    """
+    written = []
+    try:
+        for name, write in artifacts:
+            path = os.path.join(out, name)
+            write(path)
+            written.append(path)
+    except BaseException:
+        for path in written:
+            os.remove(path)
+        raise
+
+
 def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--config", help="INI run configuration")
-    common.add_argument("--out", help="output directory (default: out; validate-model "
-                                      "writes only when one is given)")
+    common.add_argument("--out", dest="out_dir", metavar="OUT",
+                        help="output directory (default: out; validate-model "
+                             "writes only when one is given)")
     common.add_argument("--r0", type=float, help="left endpoint, >= 1")
     common.add_argument("--psi1", type=float, help="initial slope, nonzero")
-    common.add_argument("--model", choices=["classical", "oscillatory", "custom"],
+    common.add_argument("--model", dest="model_kind",
+                        choices=["classical", "oscillatory", "custom"],
                         help="vorticity model kind")
     common.add_argument("--tol", type=float,
                         help="solver tolerance (fixed-point tol and RK rel_tol)")
@@ -93,20 +117,17 @@ def build_parser() -> argparse.ArgumentParser:
     p_int = sub.add_parser("integrate", parents=[common],
                            help="run one solver and write the trajectory")
     p_int.add_argument("--method", choices=["picard", "rk"], help="solver to use")
-    p_int.add_argument("--r-max", type=float, dest="r_max", help="right endpoint")
-    p_int.add_argument("--nodes", type=int, help="grid node count")
-
     p_ver = sub.add_parser("verify", parents=[common],
                            help="run both solvers and the uniqueness checks")
-    p_ver.add_argument("--r-max", type=float, dest="r_max", help="right endpoint")
-    p_ver.add_argument("--nodes", type=int, help="grid node count")
-
     p_sw = sub.add_parser("sweep", parents=[common],
                           help="continuity sweep over initial slopes")
-    p_sw.add_argument("--psi1-values", dest="psi1_values",
+    # parsed in _load, so a bad list is a ConfigError (exit 2), not a traceback
+    p_sw.add_argument("--psi1-values", dest="sweep_psi1", metavar="PSI1_VALUES",
                       help="comma list, first value is the baseline")
-    p_sw.add_argument("--r-max", type=float, dest="r_max", help="right endpoint")
-    p_sw.add_argument("--nodes", type=int, help="grid node count")
+    for p in (p_int, p_ver, p_sw):
+        p.add_argument("--r-max", type=float, help="right endpoint")
+        p.add_argument("--nodes", type=int, dest="grid_n", metavar="NODES",
+                       help="grid node count")
 
     sub.add_parser("validate-model", parents=[common],
                    help="sample the model hypotheses and report")
@@ -114,26 +135,19 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _load(args) -> cfgmod.RunConfig:
+    """The config file (or the defaults), overridden by every flag given.
+
+    Each flag's dest is the RunConfig field it sets; --tol also sets rel_tol.
+    """
     cfg = cfgmod.load_config(args.config) if args.config else cfgmod.RunConfig()
-    if args.out is not None:
-        cfg.out_dir = args.out
-    if args.r0 is not None:
-        cfg.r0 = args.r0
-    if args.psi1 is not None:
-        cfg.psi1 = args.psi1
-    if args.model is not None:
-        cfg.model_kind = args.model
+    names = {f.name for f in fields(cfg)}
+    for name, value in vars(args).items():
+        if value is not None and name in names:
+            setattr(cfg, name, value)
     if args.tol is not None:
-        cfg.tol = args.tol
         cfg.rel_tol = args.tol
-    if getattr(args, "r_max", None) is not None:
-        cfg.r_max = args.r_max
-    if getattr(args, "nodes", None) is not None:
-        cfg.grid_n = args.nodes
-    if getattr(args, "psi1_values", None) is not None:
-        cfg.sweep_psi1 = cfgmod.parse_float_list(args.psi1_values)
-    if getattr(args, "method", None) is not None:
-        cfg.method = args.method
+    if getattr(args, "sweep_psi1", None) is not None:
+        cfg.sweep_psi1 = cfgmod.parse_float_list(args.sweep_psi1)
     return cfg
 
 
@@ -165,9 +179,9 @@ def cmd_integrate(cfg: cfgmod.RunConfig) -> int:
                      f"abs_tol = {_fmt(diag.abs_tol)}"]
     else:
         raise ConfigError(f"unknown method {cfg.method!r}")
-    out = _outdir(cfg)
-    write_trajectory_csv(os.path.join(out, "trajectory.csv"), traj)
-    write_atomic(os.path.join(out, "run_log.txt"), "\n".join(log_lines) + "\n")
+    _write_artifacts(_outdir(cfg), (
+        ("trajectory.csv", lambda path: write_trajectory_csv(path, traj)),
+        ("run_log.txt", lambda path: write_atomic(path, "\n".join(log_lines) + "\n"))))
     print(f"window_end = {_fmt(traj.window_end)}")
     print(f"psi_at_r_max = {_fmt(traj.psi[-1])}")
     return 0
@@ -212,15 +226,18 @@ def cmd_verify(cfg: cfgmod.RunConfig) -> int:
     lines.append(f"sign_margin = {_fmt(hypothesis.sign_margin)}")
     lines.append(f"holder_sup = {_fmt(hypothesis.holder_sup)}")
     lines.append(f"holder_C = {_fmt(model.holder_C)}")
-    write_atomic(os.path.join(out, "report.txt"), "\n".join(lines) + "\n")
     trace_r = [r for r, _ in report.deviation_limit_trace]
     trace_y = [y for _, y in report.deviation_limit_trace]
-    write_csv(os.path.join(out, "trace.csv"), "r,y", (trace_r, trace_y))
-    write_trajectory_csv(os.path.join(out, "trajectory_picard.csv"), result.traj_picard)
-    write_trajectory_csv(os.path.join(out, "trajectory_rk.csv"), result.traj_rk)
-    svg = line_plot([("weighted deviation", trace_r, trace_y)],
-                    "Cross-method weighted deviation toward r0", "r", "y(r)")
-    write_atomic(os.path.join(out, "trace.svg"), svg)
+    # each trajectory's CSV text is built inside its own write, one at a time
+    _write_artifacts(out, (
+        ("report.txt", lambda path: write_atomic(path, "\n".join(lines) + "\n")),
+        ("trace.csv", lambda path: write_csv(path, "r,y", (trace_r, trace_y))),
+        ("trajectory_picard.csv",
+         lambda path: write_trajectory_csv(path, result.traj_picard)),
+        ("trajectory_rk.csv", lambda path: write_trajectory_csv(path, result.traj_rk)),
+        ("trace.svg", lambda path: write_atomic(path, line_plot(
+            [("weighted deviation", trace_r, trace_y)],
+            "Cross-method weighted deviation toward r0", "r", "y(r)")))))
 
     for name, ok in checks:
         print(f"{name}: {'PASS' if ok else 'FAIL'}")
@@ -234,14 +251,13 @@ def cmd_sweep(cfg: cfgmod.RunConfig) -> int:
     grid = cfgmod.build_grid(cfg, cfg.r0, r_max)
     rows = continuity_sweep(model, cfg.r0, cfg.sweep_psi1, r_max=r_max,
                             grid=grid, tol=cfg.tol)
-    out = _outdir(cfg)
     xs = [r for r, _ in rows]
     ys = [s for _, s in rows]
-    write_csv(os.path.join(out, "sweep.csv"), "dpsi1,sup_dev", (xs, ys))
-    svg = line_plot([("sup deviation", xs, ys)],
-                    "Weighted deviation vs initial-slope perturbation",
-                    "dpsi1", "sup_dev")
-    write_atomic(os.path.join(out, "sweep.svg"), svg)
+    _write_artifacts(_outdir(cfg), (
+        ("sweep.csv", lambda path: write_csv(path, "dpsi1,sup_dev", (xs, ys))),
+        ("sweep.svg", lambda path: write_atomic(path, line_plot(
+            [("sup deviation", xs, ys)],
+            "Weighted deviation vs initial-slope perturbation", "dpsi1", "sup_dev")))))
     for dpsi1, sup_dev in rows:
         print(f"dpsi1 = {_fmt(dpsi1)}  sup_dev = {_fmt(sup_dev)}")
     return 0

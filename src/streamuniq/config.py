@@ -1,8 +1,9 @@
 """Run configuration: INI files plus command-line overrides.
 
-Sections and keys are closed sets; unknown names are rejected rather than
-ignored so a typo cannot silently fall back to a default.  The custom model
-hook is a dotted path "package.module:function" resolved at build time.
+Sections and keys are the closed set in ``_KEYS``; unknown names are
+rejected rather than ignored so a typo cannot silently fall back to a
+default.  The custom model hook is a dotted path "package.module:function"
+resolved at build time.
 """
 
 from __future__ import annotations
@@ -15,14 +16,6 @@ from .errors import ConfigError
 from .grids import RadialGrid
 from .rk import StepControl
 from .vorticity import VorticityModel
-
-_SCHEMA = {
-    "model": {"kind", "delta", "c1", "c2", "path", "holder_c"},
-    "ic": {"r0", "psi1"},
-    "grid": {"kind", "n", "ratio"},
-    "solver": {"method", "tol", "max_iter", "rel_tol", "abs_tol", "h_init", "h_min", "h_max"},
-    "run": {"r_max", "out", "sweep_psi1"},
-}
 
 
 @dataclass
@@ -65,6 +58,52 @@ def _parse_int(section: str, key: str, raw: str) -> int:
         raise ConfigError(f"[{section}] {key} = {raw!r} is not an integer") from exc
 
 
+def _parse_float_or_auto(section: str, key: str, raw: str) -> float | None:
+    return None if raw == "auto" else _parse_float(section, key, raw)
+
+
+def _parse_text(section: str, key: str, raw: str) -> str:
+    return raw
+
+
+def parse_float_list(raw: str) -> list[float]:
+    try:
+        values = [float(part) for part in raw.split(",") if part.strip()]
+    except ValueError as exc:
+        raise ConfigError(f"bad float list {raw!r}") from exc
+    if not values:
+        raise ConfigError(f"empty float list {raw!r}")
+    return values
+
+
+# every accepted (section, key), the RunConfig field it sets and its parser
+_KEYS = {
+    ("model", "kind"): ("model_kind", _parse_text),
+    ("model", "delta"): ("delta", _parse_float),
+    ("model", "c1"): ("c1", _parse_float),
+    ("model", "c2"): ("c2", _parse_float),
+    ("model", "path"): ("custom_path", _parse_text),
+    ("model", "holder_c"): ("holder_c", _parse_float),
+    ("ic", "r0"): ("r0", _parse_float),
+    ("ic", "psi1"): ("psi1", _parse_float),
+    ("grid", "kind"): ("grid_kind", _parse_text),
+    ("grid", "n"): ("grid_n", _parse_int),
+    ("grid", "ratio"): ("grid_ratio", _parse_float_or_auto),
+    ("solver", "method"): ("method", _parse_text),
+    ("solver", "tol"): ("tol", _parse_float),
+    ("solver", "max_iter"): ("max_iter", _parse_int),
+    ("solver", "rel_tol"): ("rel_tol", _parse_float),
+    ("solver", "abs_tol"): ("abs_tol", _parse_float),
+    ("solver", "h_init"): ("h_init", _parse_float_or_auto),
+    ("solver", "h_min"): ("h_min", _parse_float_or_auto),
+    ("solver", "h_max"): ("h_max", _parse_float_or_auto),
+    ("run", "r_max"): ("r_max", _parse_float),
+    ("run", "out"): ("out_dir", _parse_text),
+    ("run", "sweep_psi1"): ("sweep_psi1", lambda section, key, raw: parse_float_list(raw)),
+}
+_SECTIONS = frozenset(section for section, _ in _KEYS)
+
+
 def load_config(path: str) -> RunConfig:
     """Parse an INI file into a RunConfig, rejecting unknown names."""
     parser = configparser.ConfigParser(interpolation=None, inline_comment_prefixes=("#", ";"))
@@ -78,64 +117,14 @@ def load_config(path: str) -> RunConfig:
 
     cfg = RunConfig()
     for section in parser.sections():
-        if section not in _SCHEMA:
+        if section not in _SECTIONS:
             raise ConfigError(f"unknown config section [{section}]")
         for key, raw in parser.items(section):
-            if key not in _SCHEMA[section]:
+            if (section, key) not in _KEYS:
                 raise ConfigError(f"unknown key {key!r} in section [{section}]")
-            _apply_entry(cfg, section, key, raw.strip())
+            name, parse = _KEYS[section, key]
+            setattr(cfg, name, parse(section, key, raw.strip()))
     return cfg
-
-
-def _apply_entry(cfg: RunConfig, section: str, key: str, raw: str) -> None:
-    if section == "model":
-        if key == "kind":
-            cfg.model_kind = raw
-        elif key == "delta":
-            cfg.delta = _parse_float(section, key, raw)
-        elif key == "c1":
-            cfg.c1 = _parse_float(section, key, raw)
-        elif key == "c2":
-            cfg.c2 = _parse_float(section, key, raw)
-        elif key == "path":
-            cfg.custom_path = raw
-        elif key == "holder_c":
-            cfg.holder_c = _parse_float(section, key, raw)
-    elif section == "ic":
-        setattr(cfg, key, _parse_float(section, key, raw))
-    elif section == "grid":
-        if key == "kind":
-            cfg.grid_kind = raw
-        elif key == "n":
-            cfg.grid_n = _parse_int(section, key, raw)
-        elif key == "ratio":
-            cfg.grid_ratio = None if raw == "auto" else _parse_float(section, key, raw)
-    elif section == "solver":
-        if key == "method":
-            cfg.method = raw
-        elif key == "max_iter":
-            cfg.max_iter = _parse_int(section, key, raw)
-        elif key in ("h_init", "h_min", "h_max"):
-            setattr(cfg, key, None if raw == "auto" else _parse_float(section, key, raw))
-        else:
-            setattr(cfg, key, _parse_float(section, key, raw))
-    elif section == "run":
-        if key == "r_max":
-            cfg.r_max = _parse_float(section, key, raw)
-        elif key == "out":
-            cfg.out_dir = raw
-        elif key == "sweep_psi1":
-            cfg.sweep_psi1 = parse_float_list(raw)
-
-
-def parse_float_list(raw: str) -> list[float]:
-    try:
-        values = [float(part) for part in raw.split(",") if part.strip()]
-    except ValueError as exc:
-        raise ConfigError(f"bad float list {raw!r}") from exc
-    if not values:
-        raise ConfigError(f"empty float list {raw!r}")
-    return values
 
 
 def _import_hook(path: str):

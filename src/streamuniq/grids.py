@@ -125,13 +125,3 @@ def _check_span(r0: float, r_max: float, n: int) -> None:
         raise DomainError("r_max must exceed r0")
     if n < 2:
         raise DomainError("a grid needs at least two nodes")
-
-
-def log_weights_of(nodes_or_grid) -> np.ndarray:
-    """ln(r/r0) for a RadialGrid or a raw strictly increasing node array."""
-    if isinstance(nodes_or_grid, RadialGrid):
-        return nodes_or_grid.log_weights
-    nodes = np.asarray(nodes_or_grid, dtype=np.float64)
-    if nodes.ndim != 1 or nodes.size < 2:
-        raise DomainError("need at least two nodes")
-    return np.log1p((nodes - nodes[0]) / nodes[0])

@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DomainError, ModelValidationError, NonConvergenceError, WindowCollapseError
-from .grids import RadialGrid, log_weights_of
+from .grids import RadialGrid
 from .quadrature import kernel_prefix
 from .vorticity import HypothesisReport, VorticityModel, validate_hypotheses
 
@@ -67,22 +67,21 @@ class PicardDiagnostics:
     iterates: list[np.ndarray] = field(default_factory=list, repr=False)
 
 
-def weighted_norm(x, grid) -> tuple[float, float]:
+def weighted_norm(x, grid: RadialGrid) -> tuple[float, float]:
     """sup_i |x_i| / ln(r_i/r0) over interior nodes, with its location.
 
     Requires x[0] == 0 exactly (the weight vanishes at r0).  Ties resolve to
     the leftmost node.  Returns (value, r_at); an all-zero x gives (0, r_1).
     """
     x = np.asarray(x, dtype=np.float64)
-    lw = log_weights_of(grid)
-    nodes = grid.nodes if isinstance(grid, RadialGrid) else np.asarray(grid, dtype=np.float64)
+    lw = grid.log_weights
     if x.shape != lw.shape:
         raise DomainError("x must match the grid nodes")
     if x[0] != 0.0:
         raise DomainError("weighted norm needs x[0] == 0")
     vals = np.abs(x[1:]) / lw[1:]
     i = int(np.argmax(vals))  # argmax returns the first maximizer
-    return float(vals[i]), float(nodes[i + 1])
+    return float(vals[i]), float(grid.nodes[i + 1])
 
 
 def _window_end(nodes: np.ndarray, psi: np.ndarray, delta: float) -> float:

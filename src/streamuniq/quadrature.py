@@ -21,43 +21,17 @@ from .errors import DomainError
 from .grids import RadialGrid
 
 
-def _as_grid_arrays(grid, values):
-    if isinstance(grid, RadialGrid):
-        nodes = grid.nodes
-        lw = grid.log_weights
-    else:
-        nodes = np.asarray(grid, dtype=np.float64)
-        if nodes.ndim != 1 or nodes.size < 2 or not np.all(np.diff(nodes) > 0.0):
-            raise DomainError("grid must be a strictly increasing 1-d array")
-        lw = np.log1p((nodes - nodes[0]) / nodes[0])
+def kernel_prefix(grid: RadialGrid, values):
+    """Prefix moments (A, B) with K_i = log_weights_i * A_i - B_i."""
     values = np.ascontiguousarray(values, dtype=np.float64)
-    if values.shape != nodes.shape:
+    if values.shape != grid.nodes.shape:
         raise DomainError("values must match the grid nodes")
     if not np.all(np.isfinite(values)):
         raise DomainError("values must be finite")
-    return nodes, lw, values
+    return _kernels.prefix_moments(grid.nodes, grid.log_weights, values)
 
 
-def kernel_prefix(grid, values):
-    """Prefix moments (A, B) with K_i = log_weights_i * A_i - B_i."""
-    nodes, lw, values = _as_grid_arrays(grid, values)
-    return _kernels.prefix_moments(nodes, lw, values)
-
-
-def kernel_integral_all(grid, values) -> np.ndarray:
+def kernel_integral_all(grid: RadialGrid, values) -> np.ndarray:
     """K(r_i) for every node at once; K[0] = 0."""
-    nodes, lw, values = _as_grid_arrays(grid, values)
-    A, B = _kernels.prefix_moments(nodes, lw, values)
-    return lw * A - B
-
-
-def kernel_integral(grid, values, r_index: int) -> float:
-    """K at a single node index."""
-    nodes, lw, values = _as_grid_arrays(grid, values)
-    n = nodes.size
-    if not (-n <= r_index < n):
-        raise DomainError(f"node index {r_index} out of range for {n} nodes")
-    r_index %= n
-    stop = r_index + 1
-    A, B = _kernels.prefix_moments(nodes[:stop], lw[:stop], values[:stop])
-    return float(lw[r_index] * A[-1] - B[-1])
+    A, B = kernel_prefix(grid, values)
+    return grid.log_weights * A - B

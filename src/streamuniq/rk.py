@@ -64,15 +64,6 @@ class RKDiagnostics:
     abs_tol: float
 
 
-def rhs(model: VorticityModel, r: float, psi: float, u: float) -> tuple[float, float]:
-    """Right-hand side of the first-order system at a single point."""
-    if not (np.isfinite(r) and np.isfinite(psi) and np.isfinite(u)):
-        raise DomainError("rhs arguments must be finite")
-    if r <= 0.0:
-        raise DomainError(f"radius must be positive, got {r!r}")
-    return u / r, -r * model.evaluate(psi)
-
-
 def rk_solve(model: VorticityModel, r0: float, psi1: float, r_max: float,
              control: StepControl | None = None, output_grid: RadialGrid | None = None,
              allow_unvalidated: bool = False,
@@ -128,7 +119,7 @@ def rk_solve(model: VorticityModel, r0: float, psi1: float, r_max: float,
 
 
 def convergence_order_probe(model: VorticityModel, r0: float, psi1: float, r_max: float,
-                            rel_tols, allow_unvalidated: bool = False) -> list[tuple[float, float]]:
+                            rel_tols) -> list[tuple[float, float]]:
     """Errors of rk_solve at each tolerance against the tightest run.
 
     rel_tols must contain at least two distinct values.  Returns
@@ -142,8 +133,7 @@ def convergence_order_probe(model: VorticityModel, r0: float, psi1: float, r_max
     runs = {}
     for t in tols:
         ctrl = StepControl(rel_tol=t, abs_tol=t * 1.0e-6)
-        traj, _ = rk_solve(model, r0, psi1, r_max, control=ctrl, output_grid=grid,
-                           allow_unvalidated=allow_unvalidated)
+        traj, _ = rk_solve(model, r0, psi1, r_max, control=ctrl, output_grid=grid)
         runs[t] = traj.psi
     ref = runs[tols[-1]]
     return [(t, float(np.max(np.abs(runs[t] - ref)))) for t in tols[:-1]]

@@ -153,15 +153,13 @@ def _paired_deviation(traj_a: Trajectory, traj_b: Trajectory) -> np.ndarray:
 
 
 def deviation_limit_trace(traj_a: Trajectory, traj_b: Trajectory,
-                          window: UniquenessWindow, n_probe: int = 12) -> list[tuple[float, float]]:
+                          window: UniquenessWindow) -> list[tuple[float, float]]:
     """Sample y(r) = |psi_a - psi_b| / ln(r/r0) on radii halving toward r0.
 
-    Probe targets are r0 + span * 2^-j for j = 0..n_probe-1 (span measured to
-    the effective window end), snapped to the nearest interior grid node and
+    Probe targets are r0 + span * 2^-j for j = 0..11 (span measured to the
+    effective window end), snapped to the nearest interior grid node and
     deduplicated.  Returned in decreasing r, i.e. walking toward r0.
     """
-    if n_probe < 2:
-        raise DomainError("need at least two probe radii")
     x = _paired_deviation(traj_a, traj_b)
     nodes = traj_a.grid.nodes
     lw = traj_a.grid.log_weights
@@ -170,7 +168,7 @@ def deviation_limit_trace(traj_a: Trajectory, traj_b: Trajectory,
         raise DomainError("certification window is empty")
     out: list[tuple[float, float]] = []
     seen = set()
-    for j in range(n_probe):
+    for j in range(12):
         target = traj_a.r0 + span * 0.5 ** j
         i = int(np.searchsorted(nodes, target))
         if i >= nodes.size:
@@ -243,12 +241,11 @@ def contraction_probe(model: VorticityModel, traj_a: Trajectory, traj_b: Traject
 
 
 def window_restricted_delta_ratios(diagnostics: PicardDiagnostics, grid: RadialGrid,
-                                   window: UniquenessWindow,
-                                   noise_floor: float = 1.0e-14) -> list[float]:
+                                   window: UniquenessWindow) -> list[float]:
     """Consecutive ratios of weighted fixed-point deltas inside the window.
 
-    Ratios are only formed while the denominator delta sits above
-    noise_floor; below that the deltas measure roundoff, not contraction.
+    Ratios are only formed while the denominator delta sits above 1e-14;
+    below that the deltas measure roundoff, not contraction.
     """
     sl = _window_slice(grid, window)
     lw = grid.log_weights
@@ -256,7 +253,7 @@ def window_restricted_delta_ratios(diagnostics: PicardDiagnostics, grid: RadialG
     for prev, cur in zip(diagnostics.iterates, diagnostics.iterates[1:]):
         d = np.abs(cur[sl] - prev[sl]) / lw[sl]
         deltas.append(float(d.max()))
-    return [b / a for a, b in zip(deltas, deltas[1:]) if a > noise_floor]
+    return [b / a for a, b in zip(deltas, deltas[1:]) if a > 1.0e-14]
 
 
 def default_r_max(model: VorticityModel, r0: float, psi1: float) -> float:
@@ -270,8 +267,7 @@ def default_r_max(model: VorticityModel, r0: float, psi1: float) -> float:
 def run_uniqueness_analysis(model: VorticityModel, r0: float = 1.0, psi1: float = 1.0,
                             r_max: float | None = None, grid: RadialGrid | None = None,
                             picard_tol: float = 1.0e-10, picard_max_iter: int = 60,
-                            control: StepControl | None = None,
-                            allow_unvalidated: bool = False) -> AnalysisResult:
+                            control: StepControl | None = None) -> AnalysisResult:
     """Solve by both methods on one grid and assemble the uniqueness report.
 
     The slack budget used by the monotonicity and contraction checks is
@@ -291,12 +287,9 @@ def run_uniqueness_analysis(model: VorticityModel, r0: float = 1.0, psi1: float 
     control = control or StepControl()
 
     traj_p, diag_p = picard_solve(model, r0, psi1, grid, tol=picard_tol,
-                                  max_iter=picard_max_iter,
-                                  allow_unvalidated=allow_unvalidated,
-                                  validation=hypothesis)
+                                  max_iter=picard_max_iter, validation=hypothesis)
     traj_rk, diag_rk = rk_solve(model, r0, psi1, grid.r_max, control=control,
-                                output_grid=grid, allow_unvalidated=allow_unvalidated,
-                                validation=hypothesis)
+                                output_grid=grid, validation=hypothesis)
 
     window = window0.clipped(min(traj_p.window_end, traj_rk.window_end))
 
@@ -335,19 +328,19 @@ def run_uniqueness_analysis(model: VorticityModel, r0: float = 1.0, psi1: float 
 
 
 def continuity_sweep(model: VorticityModel, r0: float, psi1_values,
-                     r_max: float = 2.0, grid: RadialGrid | None = None,
+                     r_max: float | None = None, grid: RadialGrid | None = None,
                      tol: float = 1.0e-10) -> list[tuple[float, float]]:
     """Weighted sup deviation of each run from the first (baseline) psi1.
 
-    Returns [(dpsi1, sup_dev)] for every non-baseline value, in input order.
-    Continuity of the solution map shows up as sup_dev shrinking linearly
-    with |dpsi1|.
+    Returns [(dpsi1, sup_dev)] for every non-baseline value, in input order;
+    r_max defaults to 2*r0.  Continuity of the solution map shows up as
+    sup_dev shrinking linearly with |dpsi1|.
     """
     values = [float(v) for v in psi1_values]
     if len(values) < 2:
         raise DomainError("need a baseline and at least one comparison value")
     if grid is None:
-        grid = RadialGrid.geometric(r0, r_max, 1025)
+        grid = RadialGrid.geometric(r0, 2.0 * r0 if r_max is None else r_max, 1025)
     hypothesis = validate_hypotheses(model)
     trajs = []
     for v in values:

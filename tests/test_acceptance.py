@@ -13,7 +13,7 @@ import pytest
 
 from streamuniq import (OSCILLATORY_C2_BOUND, ModelValidationError, RadialGrid,
                         StepControl, VorticityModel, continuity_sweep,
-                        kernel_integral, picard_solve, rk_solve, trace_is_monotone,
+                        kernel_integral_all, picard_solve, rk_solve, trace_is_monotone,
                         validate_hypotheses, validate_oscillatory_constants,
                         window_restricted_delta_ratios, zero_vorticity)
 
@@ -66,11 +66,11 @@ def test_criterion_2_constant_chain_gate():
 
 def test_criterion_3_kernel_quadrature():
     grid = RadialGrid.geometric(1.0, 2.0, 4096)
-    err = abs(kernel_integral(grid, np.ones(grid.n), -1) - I_CONST)
+    err = abs(kernel_integral_all(grid, np.ones(grid.n))[-1] - I_CONST)
     errs = []
     for n in (513, 1025):
         g = RadialGrid.uniform(1.0, 2.0, n)
-        errs.append(abs(kernel_integral(g, 1.0 / g.nodes, -1) - I_INV))
+        errs.append(abs(kernel_integral_all(g, 1.0 / g.nodes)[-1] - I_INV))
     order = math.log2(errs[0] / errs[1])
     ok = err <= 1e-10 and order >= 1.9
     _verdict(3, "kernel quadrature accuracy and order", ok,

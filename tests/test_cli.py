@@ -7,7 +7,9 @@ import pytest
 
 import streamuniq
 from streamuniq import RadialGrid, VorticityModel, continuity_sweep, run_uniqueness_analysis
-from streamuniq.cli import CSV_BLOCK_ROWS, main, write_atomic, write_csv
+from streamuniq.cli import (CSV_BLOCK_ROWS, _load, build_parser, main, write_atomic,
+                            write_csv)
+from streamuniq.config import load_config
 
 
 def _read(path):
@@ -267,3 +269,76 @@ def test_module_entrypoint_runs():
                          capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=path))
     assert out.returncode == 0
     assert "verdict = true" in out.stdout
+
+
+# a directory named like the command's last output file makes that write fail
+# after the earlier files were written
+@pytest.mark.parametrize("command, blocked", [
+    ("verify", "trajectory_rk.csv"),
+    ("integrate", "run_log.txt"),
+    ("sweep", "sweep.svg"),
+])
+def test_write_failure_exits_two_and_removes_partial_artifacts(tmp_path, capsys,
+                                                               command, blocked):
+    out = tmp_path / "run"
+    (out / blocked).mkdir(parents=True)
+    assert main([command, "--nodes", "513", "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert sorted(os.listdir(out)) == [blocked]
+
+
+def test_out_naming_a_file_exits_two(tmp_path, capsys):
+    taken = tmp_path / "taken"
+    taken.write_text("keep\n", encoding="utf-8")
+    assert main(["validate-model", "--out", str(taken)]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+    assert taken.read_text(encoding="utf-8") == "keep\n"
+
+
+def test_bad_psi1_values_exit_two(tmp_path, capsys):
+    assert main(["sweep", "--psi1-values", "1,zebra", "--out", str(tmp_path / "x")]) == 2
+    assert capsys.readouterr().err == "error: bad float list '1,zebra'\n"
+    assert not (tmp_path / "x").exists()
+
+
+BASE_INI = """
+[model]
+kind = oscillatory
+[ic]
+r0 = 1.5
+psi1 = 0.5
+[grid]
+n = 129
+[solver]
+method = rk
+tol = 1e-9
+rel_tol = 1e-8
+[run]
+r_max = 2.5
+out = results
+sweep_psi1 = 1.0, 1.01
+"""
+
+
+@pytest.mark.parametrize("argv, expected", [
+    (["integrate", "--r0", "2"], {"r0": 2.0}),
+    (["integrate", "--psi1", "-0.25"], {"psi1": -0.25}),
+    (["integrate", "--model", "classical"], {"model_kind": "classical"}),
+    (["integrate", "--tol", "1e-7"], {"tol": 1e-7, "rel_tol": 1e-7}),
+    (["integrate", "--out", "elsewhere"], {"out_dir": "elsewhere"}),
+    (["integrate", "--r-max", "3.5"], {"r_max": 3.5}),
+    (["verify", "--nodes", "65"], {"grid_n": 65}),
+    (["sweep", "--psi1-values", "2,2.5"], {"sweep_psi1": [2.0, 2.5]}),
+    (["integrate", "--method", "picard"], {"method": "picard"}),
+])
+def test_flag_overrides_config_value(tmp_path, argv, expected):
+    cfgfile = tmp_path / "run.ini"
+    cfgfile.write_text(BASE_INI, encoding="utf-8")
+    cfg = _load(build_parser().parse_args(argv + ["--config", str(cfgfile)]))
+    want = load_config(str(cfgfile))
+    for name, value in expected.items():
+        assert getattr(want, name) != value
+        setattr(want, name, value)
+    # the flag sets its field and nothing else
+    assert cfg == want

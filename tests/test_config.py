@@ -1,8 +1,15 @@
+import configparser
+import os
+import re
+from dataclasses import fields, replace
+
 import pytest
 
 from streamuniq import ConfigError, DomainError
-from streamuniq.config import (RunConfig, build_control, build_grid, build_model,
+from streamuniq.config import (_KEYS, RunConfig, build_control, build_grid, build_model,
                                load_config, parse_float_list)
+
+README = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "README.md")
 
 FULL_INI = """
 [model]
@@ -134,3 +141,61 @@ def test_build_grid_and_control():
     control = build_control(RunConfig(rel_tol=1e-8))
     assert control.rel_tol == 1e-8
     assert control.h_init is None
+
+
+# the accepted names, as listed section by section before they became one table
+SCHEMA = {
+    "model": {"kind", "delta", "c1", "c2", "path", "holder_c"},
+    "ic": {"r0", "psi1"},
+    "grid": {"kind", "n", "ratio"},
+    "solver": {"method", "tol", "max_iter", "rel_tol", "abs_tol", "h_init", "h_min", "h_max"},
+    "run": {"r_max", "out", "sweep_psi1"},
+}
+
+
+def test_keys_table_accepts_exactly_the_schema():
+    assert set(_KEYS) == {(section, key) for section, keys in SCHEMA.items() for key in keys}
+    names = {f.name for f in fields(RunConfig)}
+    for name, parse in _KEYS.values():
+        assert name in names
+        assert callable(parse)
+
+
+# (section, key) -> the value the README example gives it
+README_VALUES = {
+    ("model", "kind"): "oscillatory",
+    ("model", "c2"): 0.02,
+    ("model", "delta"): 0.25,
+    ("ic", "r0"): 1.0,
+    ("ic", "psi1"): 1.0,
+    ("grid", "kind"): "geometric",
+    ("grid", "n"): 2049,
+    ("grid", "ratio"): None,
+    ("solver", "method"): "picard",
+    ("solver", "tol"): 1e-10,
+    ("solver", "max_iter"): 60,
+    ("solver", "rel_tol"): 1e-10,
+    ("solver", "abs_tol"): 1e-16,
+    ("run", "r_max"): 2.0,
+    ("run", "out"): "out",
+    ("run", "sweep_psi1"): [1.0, 1.001, 1.01],
+}
+
+
+def test_readme_example_config_loads(tmp_path):
+    with open(README, encoding="utf-8") as fh:
+        block = re.search(r"```ini\n(.*?)```", fh.read(), re.S).group(1)
+    path = tmp_path / "readme.ini"
+    path.write_text(block, encoding="utf-8")
+    cfg = load_config(str(path))
+    parser = configparser.ConfigParser(interpolation=None, inline_comment_prefixes=("#", ";"))
+    parser.read_string(block)
+    entries = [(section, key, raw) for section in parser.sections()
+               for key, raw in parser.items(section)]
+    assert {(section, key) for section, key, _ in entries} == set(README_VALUES)
+    for section, key, raw in entries:
+        name, value = _KEYS[section, key][0], README_VALUES[section, key]
+        assert getattr(cfg, name) == value
+        # alone in a file, the key sets its own field and no other
+        path.write_text(f"[{section}]\n{key} = {raw}\n", encoding="utf-8")
+        assert load_config(str(path)) == replace(RunConfig(), **{name: value})

@@ -4,7 +4,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from streamuniq import DomainError, RadialGrid
-from streamuniq.grids import log_weights_of
 
 
 def test_uniform_basic():
@@ -38,13 +37,6 @@ def test_log_weights_values():
     expected = np.log(grid.nodes / grid.nodes[0])
     np.testing.assert_allclose(grid.log_weights, expected, rtol=1e-15)
     assert grid.log_weights[0] == 0.0
-
-
-def test_log_weights_of_accepts_arrays():
-    nodes = np.array([1.0, 1.5, 2.0])
-    by_array = log_weights_of(nodes)
-    by_grid = log_weights_of(RadialGrid(nodes))
-    np.testing.assert_array_equal(by_array, by_grid)
 
 
 def test_index_at():

@@ -3,8 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from streamuniq import (DomainError, RadialGrid, kernel_integral, kernel_integral_all,
-                        kernel_prefix)
+from streamuniq import DomainError, RadialGrid, kernel_integral_all, kernel_prefix
 
 # closed forms of int_1^R tau*log(R/tau)*v(tau) dtau at R = 2
 I_CONST = 0.40342640972002736   # v = 1:      3/4 - log(2)/2
@@ -43,7 +42,7 @@ def _gl_oracle(nodes, values, r_end):
 def test_linear_integrands_are_exact(make_grid):
     grid = make_grid()
     values = 2.0 - 0.75 * (grid.nodes - 1.0)
-    got = kernel_integral(grid, values, -1)
+    got = kernel_integral_all(grid, values)[-1]
     np.testing.assert_allclose(got, I_LIN, rtol=0, atol=5e-16)
 
 
@@ -52,19 +51,19 @@ def test_matches_gauss_legendre_per_piece(r_index):
     grid = RadialGrid.geometric(1.0, 2.0, 33, ratio=0.95)
     values = np.cos(3.0 * grid.nodes) + 1.5
     oracle = _gl_oracle(grid.nodes, values, grid.nodes[r_index])
-    got = kernel_integral(grid, values, r_index)
+    got = kernel_integral_all(grid, values)[r_index]
     np.testing.assert_allclose(got, oracle, rtol=0, atol=1e-15)
 
 
 def test_constant_on_graded_grid():
     grid = RadialGrid.geometric(1.0, 2.0, 4097)
-    got = kernel_integral(grid, np.ones(grid.n), -1)
+    got = kernel_integral_all(grid, np.ones(grid.n))[-1]
     np.testing.assert_allclose(got, I_CONST, rtol=0, atol=1e-10)
 
 
 def test_smooth_integrand_on_uniform_grid():
     grid = RadialGrid.uniform(1.0, 2.0, 2049)
-    got = kernel_integral(grid, grid.nodes ** 2, -1)
+    got = kernel_integral_all(grid, grid.nodes ** 2)[-1]
     np.testing.assert_allclose(got, I_SQ, rtol=0, atol=1e-7)
 
 
@@ -72,7 +71,7 @@ def test_second_order_convergence():
     errs = []
     for n in (513, 1025):
         grid = RadialGrid.uniform(1.0, 2.0, n)
-        got = kernel_integral(grid, 1.0 / grid.nodes, -1)
+        got = kernel_integral_all(grid, 1.0 / grid.nodes)[-1]
         errs.append(abs(got - I_INV))
     order = math.log2(errs[0] / errs[1])
     assert order >= 1.9
@@ -83,18 +82,9 @@ def test_prefix_and_all_consistency():
     values = np.sin(grid.nodes) + 2.0
     every = kernel_integral_all(grid, values)
     assert every[0] == 0.0
-    for idx in (0, 1, 7, 33, 64):
-        np.testing.assert_allclose(kernel_integral(grid, values, idx), every[idx],
-                                   rtol=1e-14, atol=1e-18)
     A, B = kernel_prefix(grid, values)
     recomposed = grid.log_weights * A - B
     np.testing.assert_allclose(recomposed, every, rtol=0, atol=1e-18)
-
-
-def test_negative_index_means_endpoint():
-    grid = RadialGrid.uniform(1.0, 2.0, 33)
-    values = np.exp(-grid.nodes)
-    assert kernel_integral(grid, values, -1) == kernel_integral(grid, values, 32)
 
 
 def test_truncation_ignores_later_nodes():
@@ -102,7 +92,7 @@ def test_truncation_ignores_later_nodes():
     values = np.cos(grid.nodes)
     tampered = values.copy()
     tampered[20:] = 1e6
-    assert kernel_integral(grid, values, 10) == kernel_integral(grid, tampered, 10)
+    assert kernel_integral_all(grid, values)[10] == kernel_integral_all(grid, tampered)[10]
 
 
 def test_positivity_for_positive_integrand():
@@ -116,5 +106,3 @@ def test_shape_mismatch_rejected():
     grid = RadialGrid.uniform(1.0, 2.0, 9)
     with pytest.raises(DomainError):
         kernel_integral_all(grid, np.ones(8))
-    with pytest.raises(DomainError):
-        kernel_integral(grid, np.ones(9), 9)

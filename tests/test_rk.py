@@ -4,7 +4,7 @@ import pytest
 from streamuniq import (DomainError, ModelValidationError, NonConvergenceError,
                         RadialGrid, StepControl, StepSizeUnderflowError,
                         VorticityModel, convergence_order_probe, picard_solve,
-                        rhs, rk_solve, zero_vorticity)
+                        rk_solve, zero_vorticity)
 from streamuniq import _kernels
 from streamuniq._kernels import (
     _A21, _A31, _A32, _A41, _A42, _A43, _A51, _A52, _A53, _A54, _A61, _A62, _A63, _A64, _A65,
@@ -242,16 +242,6 @@ def test_validation_gate():
     zero = VorticityModel.custom(zero_vorticity, holder_C=1.0)
     with pytest.raises(ModelValidationError):
         rk_solve(zero, 1.0, 1.0, 2.0)
-
-
-def test_rhs_values(classical_model):
-    dpsi, du = rhs(classical_model, 2.0, 0.25, 1.5)
-    assert dpsi == 0.75
-    np.testing.assert_allclose(du, 0.5, rtol=1e-15)
-    with pytest.raises(DomainError):
-        rhs(classical_model, -1.0, 0.1, 1.0)
-    with pytest.raises(DomainError):
-        rhs(classical_model, 1.0, np.nan, 1.0)
 
 
 @pytest.mark.parametrize("model_name, psi1, grid", [

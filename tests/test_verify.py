@@ -179,8 +179,6 @@ def test_trace_monotonicity_flags_growth():
     assert trace_is_monotone(trace, 1e-3)
     with pytest.raises(DomainError):
         trace_is_monotone(list(reversed(trace)), 0.0)
-    with pytest.raises(DomainError):
-        deviation_limit_trace(ta, tb, window, n_probe=1)
 
 
 def test_pair_must_share_grid_and_slope():
@@ -245,3 +243,10 @@ def test_continuity_sweep_small():
     np.testing.assert_allclose(sup, 1.0081807800335402e-03, rtol=1e-5)
     with pytest.raises(DomainError):
         continuity_sweep(model, 1.0, [1.0])
+
+
+def test_continuity_sweep_default_r_max_is_twice_r0():
+    # a fixed default of 2.0 would not even exceed r0 = 3
+    model = VorticityModel.classical()
+    default = continuity_sweep(model, 3.0, [1.0, 1.01])
+    assert default == continuity_sweep(model, 3.0, [1.0, 1.01], r_max=6.0)
