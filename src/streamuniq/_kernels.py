@@ -50,20 +50,30 @@ def vorticity_grid(kind, c1, c2, psi):
 # with prefix sums A_i = int tau*v and B_i = int tau*ln(tau/r_0)*v.  The
 # per-subinterval closed forms below keep every intermediate on the scale of
 # the local integral, so no O(1) cancellation pollutes the near-r_0 pieces.
+# Half of each closed form depends on the nodes alone; prefix_geometry
+# computes that half once per grid and prefix_moments adds the values.
 
 
-def prefix_moments(nodes, log_weights, values):
+def prefix_geometry(nodes):
+    """Node-only terms of the rule, one entry per subinterval [a, b]:
+    (h, a + h/2, a/2 + h/3, t1, t2) with t1 = int_a^b tau*ln(tau/a) dtau and
+    t2 = int_a^b tau*(tau - a)*ln(tau/a) dtau."""
     a = nodes[:-1]
     b = nodes[1:]
     h = b - a
-    va = values[:-1]
-    s = (values[1:] - va) / h
     lab = np.log1p(h / a)
     t1 = 0.5 * b * b * lab - 0.25 * h * (a + b)
     t2 = (b * b * b) * lab / 3.0 - h * (b * b + a * b + a * a) / 9.0 - a * t1
-    p1 = va * h * (a + 0.5 * h) + s * h * h * (0.5 * a + h / 3.0)
+    return h, a + 0.5 * h, 0.5 * a + h / 3.0, t1, t2
+
+
+def prefix_moments(geometry, log_weights, values):
+    h, mid, ramp, t1, t2 = geometry
+    va = values[:-1]
+    s = (values[1:] - va) / h
+    p1 = va * h * mid + s * h * h * ramp
     p2 = log_weights[:-1] * p1 + va * t1 + s * t2
-    n = nodes.shape[0]
+    n = values.shape[0]
     A = np.empty(n, dtype=np.float64)
     B = np.empty(n, dtype=np.float64)
     A[0] = 0.0

@@ -43,6 +43,9 @@ def _fmt(x) -> str:
 
 
 CSV_BLOCK_ROWS = 65536
+# characters handed to the file per write; the text is encoded one slice at a
+# time, never as one bytes copy of the whole artifact
+WRITE_SLICE_CHARS = 1 << 20
 
 
 def write_atomic(path: str, text: str) -> None:
@@ -50,7 +53,8 @@ def write_atomic(path: str, text: str) -> None:
     fh = open(tmp, "w", encoding="utf-8")
     try:
         with fh:
-            fh.write(text)
+            for start in range(0, len(text), WRITE_SLICE_CHARS):
+                fh.write(text[start:start + WRITE_SLICE_CHARS])
         os.replace(tmp, path)
     except BaseException:
         os.remove(tmp)
@@ -61,7 +65,8 @@ def write_csv(path: str, header: str, columns) -> None:
     """Write equal-length columns of floats, one %.17g row per index.
 
     Rows are formatted CSV_BLOCK_ROWS at a time, so the Python floats of
-    only one block exist next to the text being built.
+    only one block exist next to the text being built; the blocks are
+    dropped once joined, before the text is written.
     """
     columns = [np.asarray(c, dtype=np.float64) for c in columns]
     row = ",".join(["{:.17g}"] * len(columns)) + "\n"
@@ -69,7 +74,9 @@ def write_csv(path: str, header: str, columns) -> None:
     for start in range(0, columns[0].size, CSV_BLOCK_ROWS):
         block = [c[start:start + CSV_BLOCK_ROWS].tolist() for c in columns]
         parts.append("".join(map(row.format, *block)))
-    write_atomic(path, "".join(parts))
+    text = "".join(parts)
+    del parts
+    write_atomic(path, text)
 
 
 def write_trajectory_csv(path: str, traj) -> None:

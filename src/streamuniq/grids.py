@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from . import _kernels
 from .errors import DomainError
 
 # smallest admissible leftmost/rightmost spacing ratio; keeps the graded grid
@@ -19,7 +20,7 @@ class RadialGrid:
     weighted quantities of interest are hardest to resolve.
     """
 
-    __slots__ = ("nodes", "kind", "ratio", "_log_weights", "_spacings")
+    __slots__ = ("nodes", "kind", "ratio", "_log_weights", "_prefix_geometry")
 
     def __init__(self, nodes: np.ndarray, kind: str = "explicit", ratio: float | None = None):
         nodes = np.ascontiguousarray(nodes, dtype=np.float64)
@@ -35,7 +36,7 @@ class RadialGrid:
         self.kind = kind
         self.ratio = ratio
         self._log_weights = None
-        self._spacings = None
+        self._prefix_geometry = None
 
     # -- constructors -------------------------------------------------------
 
@@ -80,9 +81,8 @@ class RadialGrid:
 
     @property
     def spacings(self) -> np.ndarray:
-        if self._spacings is None:
-            self._spacings = np.diff(self.nodes)
-        return self._spacings
+        """r_{i+1} - r_i, the first array of ``prefix_geometry``."""
+        return self.prefix_geometry[0]
 
     @property
     def log_weights(self) -> np.ndarray:
@@ -90,6 +90,17 @@ class RadialGrid:
         if self._log_weights is None:
             self._log_weights = np.log1p((self.nodes - self.nodes[0]) / self.nodes[0])
         return self._log_weights
+
+    @property
+    def prefix_geometry(self) -> tuple[np.ndarray, ...]:
+        """Node-only terms of the product-trapezoid rule, read-only
+        (see ``_kernels.prefix_geometry``)."""
+        if self._prefix_geometry is None:
+            geometry = _kernels.prefix_geometry(self.nodes)
+            for arr in geometry:
+                arr.flags.writeable = False
+            self._prefix_geometry = geometry
+        return self._prefix_geometry
 
     def index_at(self, r: float) -> int:
         """Index of the rightmost node <= r (at least 0)."""

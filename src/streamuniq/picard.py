@@ -101,7 +101,8 @@ def _require_valid(model: VorticityModel, allow_unvalidated: bool,
         raise ModelValidationError(
             "model failed hypothesis validation "
             f"(sign_margin={report.sign_margin!r}, holder_sup={report.holder_sup!r}, "
-            f"holder_C={model.holder_C!r}); pass allow_unvalidated=True to override")
+            f"holder_C={model.holder_C!r}); only picard_solve and rk_solve can skip "
+            "this check, with allow_unvalidated=True")
     return report
 
 

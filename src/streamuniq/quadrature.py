@@ -7,9 +7,10 @@ For samples v_j of a function v on grid nodes, the operator value
 is computed for the piecewise-linear interpolant of v.  The kernel is split
 as ln(r_i/tau) = ln(r_i/r0) - ln(tau/r0), which turns the whole family
 {K(r_i)} into two prefix sums (see ``_kernels.prefix_moments``) and keeps the
-cost at O(n) for all nodes together.  Second order in the mesh size holds for
-smooth v; grading the grid toward r0 recovers it for the square-root-type
-integrands this package feeds in.
+cost at O(n) for all nodes together.  The node-only half of the rule is
+computed once per grid and cached on it (``RadialGrid.prefix_geometry``).
+Second order in the mesh size holds for smooth v; grading the grid toward r0
+recovers it for the square-root-type integrands this package feeds in.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ def kernel_prefix(grid: RadialGrid, values):
         raise DomainError("values must match the grid nodes")
     if not np.all(np.isfinite(values)):
         raise DomainError("values must be finite")
-    return _kernels.prefix_moments(grid.nodes, grid.log_weights, values)
+    return _kernels.prefix_moments(grid.prefix_geometry, grid.log_weights, values)
 
 
 def kernel_integral_all(grid: RadialGrid, values) -> np.ndarray:

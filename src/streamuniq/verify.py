@@ -264,6 +264,12 @@ def default_r_max(model: VorticityModel, r0: float, psi1: float) -> float:
     return r0 + 1.25 * (r2 - r0)
 
 
+def _require_grid_end(grid: RadialGrid | None, r_max: float | None) -> None:
+    if grid is not None and r_max is not None and grid.r_max != r_max:
+        raise DomainError(f"r_max = {r_max!r} does not match the grid, which ends at "
+                          f"{grid.r_max!r}")
+
+
 def run_uniqueness_analysis(model: VorticityModel, r0: float = 1.0, psi1: float = 1.0,
                             r_max: float | None = None, grid: RadialGrid | None = None,
                             picard_tol: float = 1.0e-10, picard_max_iter: int = 60,
@@ -274,15 +280,17 @@ def run_uniqueness_analysis(model: VorticityModel, r0: float = 1.0, psi1: float 
     10*(picard_tol + rel_tol) plus a quadrature estimate, taken as three
     times the weighted defect of the RK trajectory under the integral
     operator (the RK solution is quadrature-free, so its weighted defect
-    isolates the product-integration error).
+    isolates the product-integration error).  Without a grid, one of 2049
+    geometric nodes spans [r0, r_max]; a grid given with r_max must end there.
     """
     if not (np.isfinite(psi1) and psi1 != 0.0):
         raise DomainError("psi1 must be finite and nonzero")
+    _require_grid_end(grid, r_max)
     hypothesis = validate_hypotheses(model)
     window0 = compute_r2(r0, abs(psi1), model.holder_C)
-    if r_max is None:
-        r_max = default_r_max(model, r0, psi1)
     if grid is None:
+        if r_max is None:
+            r_max = default_r_max(model, r0, psi1)
         grid = RadialGrid.geometric(r0, r_max, 2049)
     control = control or StepControl()
 
@@ -333,12 +341,14 @@ def continuity_sweep(model: VorticityModel, r0: float, psi1_values,
     """Weighted sup deviation of each run from the first (baseline) psi1.
 
     Returns [(dpsi1, sup_dev)] for every non-baseline value, in input order;
-    r_max defaults to 2*r0.  Continuity of the solution map shows up as
-    sup_dev shrinking linearly with |dpsi1|.
+    without a grid, one of 1025 geometric nodes spans [r0, r_max] and r_max
+    defaults to 2*r0; a grid given with r_max must end there.  Continuity of
+    the solution map shows up as sup_dev shrinking linearly with |dpsi1|.
     """
     values = [float(v) for v in psi1_values]
     if len(values) < 2:
         raise DomainError("need a baseline and at least one comparison value")
+    _require_grid_end(grid, r_max)
     if grid is None:
         grid = RadialGrid.geometric(r0, 2.0 * r0 if r_max is None else r_max, 1025)
     hypothesis = validate_hypotheses(model)

@@ -7,8 +7,8 @@ import pytest
 
 import streamuniq
 from streamuniq import RadialGrid, VorticityModel, continuity_sweep, run_uniqueness_analysis
-from streamuniq.cli import (CSV_BLOCK_ROWS, _load, build_parser, main, write_atomic,
-                            write_csv)
+from streamuniq.cli import (CSV_BLOCK_ROWS, WRITE_SLICE_CHARS, _load, build_parser, main,
+                            write_atomic, write_csv)
 from streamuniq.config import load_config
 
 
@@ -121,6 +121,19 @@ def test_verify_rejecting_model_exits_one(tmp_path, capsys):
     assert not (out / "report.txt").exists()
 
 
+def test_integrate_rejecting_model_names_the_solvers_that_can_skip_the_check(tmp_path, capsys):
+    cfgfile = tmp_path / "zero.ini"
+    cfgfile.write_text(
+        "[model]\nkind = custom\npath = streamuniq.vorticity:zero_vorticity\n"
+        "holder_c = 1.0\n", encoding="utf-8")
+    out = tmp_path / "run"
+    assert main(["integrate", "--config", str(cfgfile), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "model failed hypothesis validation" in err
+    assert "only picard_solve and rk_solve can skip this check, with allow_unvalidated=True" in err
+    assert not (out / "trajectory.csv").exists()
+
+
 def test_validate_model_classical(capsys, tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
     code = main(["validate-model"])
@@ -188,6 +201,33 @@ def test_write_csv_matches_per_value_reference(tmp_path):
     assert _read(path) == _reference_csv("a,b,c", zip(*cols))
     write_csv(path, "a", [[]])
     assert _read(path) == "a\n"
+
+
+@pytest.mark.parametrize("length", [0, 1, WRITE_SLICE_CHARS - 1, WRITE_SLICE_CHARS,
+                                    WRITE_SLICE_CHARS + 1])
+def test_write_atomic_slices_give_the_bytes_of_one_write(tmp_path, length):
+    assert WRITE_SLICE_CHARS == 1 << 20
+    texts = [("0123456789,\n" * (length // 12 + 1))[:length]]
+    if length > 2:
+        # multi-byte characters on both sides of the slice boundary
+        texts.append("x" * (length - 3) + "\u00e9\u20ac\U0001f600")
+        texts.append("\u00e9" * length)
+    for text in texts:
+        ref = tmp_path / "ref"
+        with open(ref, "w", encoding="utf-8") as fh:
+            fh.write(text)
+        path = tmp_path / "sliced"
+        write_atomic(str(path), text)
+        assert path.read_bytes() == ref.read_bytes()
+
+
+def test_write_csv_larger_than_one_slice(tmp_path):
+    n = 40000
+    cols = [np.linspace(1.0, 2.0, n), np.random.default_rng(5).standard_normal(n)]
+    path = tmp_path / "big.csv"
+    write_csv(str(path), "a,b", cols)
+    assert path.stat().st_size > WRITE_SLICE_CHARS
+    assert _read(path) == _reference_csv("a,b", zip(*cols))
 
 
 def test_write_atomic_removes_temp_file_on_failure(tmp_path):

@@ -39,6 +39,22 @@ def test_log_weights_values():
     assert grid.log_weights[0] == 0.0
 
 
+def test_prefix_geometry_is_cached_and_read_only():
+    grid = RadialGrid.geometric(1.0, 2.0, 65)
+    geometry = grid.prefix_geometry
+    again = grid.prefix_geometry
+    assert all(a is b for a, b in zip(again, geometry))
+    assert [arr.shape for arr in geometry] == [(64,)] * 5
+    # the first entry is the spacing h = b - a of each subinterval
+    np.testing.assert_array_equal(geometry[0], np.diff(grid.nodes))
+    assert grid.spacings is geometry[0]
+    for arr in geometry:
+        first = arr[0]
+        with pytest.raises(ValueError):
+            arr[0] = 0.0
+        assert arr[0] == first
+
+
 def test_index_at():
     grid = RadialGrid.uniform(1.0, 2.0, 5)
     assert grid.index_at(1.0) == 0

@@ -1,6 +1,7 @@
 import numpy as np
 
-from streamuniq._kernels import f_classical, f_oscillatory, prefix_moments, vorticity_grid
+from streamuniq._kernels import (f_classical, f_oscillatory, prefix_geometry, prefix_moments,
+                                 vorticity_grid)
 
 
 def test_scalar_laws_match_reference():
@@ -40,7 +41,7 @@ def test_prefix_moments_against_direct_sums():
     values = rng.normal(size=40)
     lw = np.log(nodes / nodes[0])
     lw[0] = 0.0
-    A, B = prefix_moments(nodes, lw, values)
+    A, B = prefix_moments(prefix_geometry(nodes), lw, values)
     assert A[0] == 0.0 and B[0] == 0.0
 
     # A accumulates int tau*v dtau of the piecewise-linear interpolant;

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from streamuniq import DomainError, RadialGrid, kernel_integral_all, kernel_prefix
+from streamuniq import DomainError, RadialGrid, _kernels, kernel_integral_all, kernel_prefix
 
 # closed forms of int_1^R tau*log(R/tau)*v(tau) dtau at R = 2
 I_CONST = 0.40342640972002736   # v = 1:      3/4 - log(2)/2
@@ -106,3 +106,57 @@ def test_shape_mismatch_rejected():
     grid = RadialGrid.uniform(1.0, 2.0, 9)
     with pytest.raises(DomainError):
         kernel_integral_all(grid, np.ones(8))
+
+
+def _inline_prefix_moments(nodes, log_weights, values):
+    # the rule as it read before its node-only half was cached on the grid
+    a = nodes[:-1]
+    b = nodes[1:]
+    h = b - a
+    va = values[:-1]
+    s = (values[1:] - va) / h
+    lab = np.log1p(h / a)
+    t1 = 0.5 * b * b * lab - 0.25 * h * (a + b)
+    t2 = (b * b * b) * lab / 3.0 - h * (b * b + a * b + a * a) / 9.0 - a * t1
+    p1 = va * h * (a + 0.5 * h) + s * h * h * (0.5 * a + h / 3.0)
+    p2 = log_weights[:-1] * p1 + va * t1 + s * t2
+    A = np.concatenate(([0.0], np.cumsum(p1)))
+    B = np.concatenate(([0.0], np.cumsum(p2)))
+    return A, B
+
+
+@pytest.mark.parametrize("make_grid", [
+    lambda: RadialGrid.geometric(1.0, 1.5, 2049),
+    lambda: RadialGrid.geometric(2.5, 3.75, 131073),
+    lambda: RadialGrid.uniform(1.0, 2.0, 1025),
+    lambda: RadialGrid.geometric(1.0, 2.0, 3),
+])
+@pytest.mark.parametrize("kind", ["random", "sqrt_near_r0"])
+def test_cached_geometry_reproduces_the_inline_rule(make_grid, kind):
+    grid = make_grid()
+    if kind == "random":
+        values = np.random.default_rng(grid.n).normal(size=grid.n)
+    else:
+        # the classical law along the leading log profile: a square root in
+        # r - r0 that the graded grid resolves
+        values = -np.sqrt(0.8 * grid.log_weights) + 0.8 * grid.log_weights
+    ref_a, ref_b = _inline_prefix_moments(grid.nodes, grid.log_weights, values)
+    for _ in range(2):  # the first call fills the cache, the second reads it
+        A, B = kernel_prefix(grid, values)
+        assert np.array_equal(A, ref_a) and np.array_equal(B, ref_b)
+
+
+def test_kernel_prefix_computes_the_geometry_once_per_grid(monkeypatch):
+    calls = []
+    original = _kernels.prefix_geometry
+
+    def counting(nodes):
+        calls.append(nodes.size)
+        return original(nodes)
+
+    monkeypatch.setattr(_kernels, "prefix_geometry", counting)
+    grid = RadialGrid.geometric(1.0, 2.0, 65)
+    for values in (np.ones(65), np.sin(grid.nodes)):
+        kernel_prefix(grid, values)
+    kernel_integral_all(grid, np.cos(grid.nodes))
+    assert calls == [65]

@@ -250,3 +250,27 @@ def test_continuity_sweep_default_r_max_is_twice_r0():
     model = VorticityModel.classical()
     default = continuity_sweep(model, 3.0, [1.0, 1.01])
     assert default == continuity_sweep(model, 3.0, [1.0, 1.01], r_max=6.0)
+
+
+def test_a_grid_must_end_at_the_given_r_max(classical_model):
+    grid = RadialGrid.geometric(1.0, 1.5, 513)
+    with pytest.raises(DomainError, match="r_max"):
+        run_uniqueness_analysis(classical_model, r_max=1.3, grid=grid)
+    with pytest.raises(DomainError, match="r_max"):
+        continuity_sweep(classical_model, 1.0, [1.0, 1.001], r_max=1.3, grid=grid)
+    # a matching pair and a grid alone give the same result
+    assert continuity_sweep(classical_model, 1.0, [1.0, 1.001], r_max=1.5, grid=grid) == \
+        continuity_sweep(classical_model, 1.0, [1.0, 1.001], grid=grid)
+    paired = run_uniqueness_analysis(classical_model, r_max=1.5, grid=grid)
+    alone = run_uniqueness_analysis(classical_model, grid=grid)
+    assert paired.report.as_dict() == alone.report.as_dict()
+    assert alone.traj_picard.grid is grid
+
+
+def test_a_grid_alone_skips_the_default_r_max(classical_model, monkeypatch):
+    def unused(*args):
+        raise AssertionError("default_r_max called although a grid was given")
+
+    monkeypatch.setattr("streamuniq.verify.default_r_max", unused)
+    grid = RadialGrid.geometric(1.0, 1.5, 513)
+    assert run_uniqueness_analysis(classical_model, grid=grid).report.verdict
