@@ -20,7 +20,7 @@ from .verify import (AnalysisResult, UniquenessReport, UniquenessWindow, check_l
                      run_uniqueness_analysis, trace_is_monotone,
                      window_restricted_delta_ratios)
 from .vorticity import (OSCILLATORY_C2_BOUND, HypothesisReport, VorticityModel,
-                        check_sign_condition, estimate_holder_constant, validate_hypotheses,
+                        estimate_holder_constant, validate_hypotheses,
                         validate_oscillatory_constants, zero_vorticity)
 
 __version__ = "0.1.0"
@@ -46,7 +46,6 @@ __all__ = [
     "VorticityModel",
     "WindowCollapseError",
     "check_lower_bound",
-    "check_sign_condition",
     "compute_r2",
     "continuity_sweep",
     "contraction_probe",

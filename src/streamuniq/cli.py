@@ -24,8 +24,7 @@ from .errors import (ConfigError, ContractionViolationError, DomainError,
 from .picard import picard_solve
 from .rk import rk_solve
 from .svgplot import line_plot
-from .verify import (CONTRACTION_RATIO_MAX, CROSS_METHOD_SUP_MAX, LOWER_BOUND_TOL,
-                     continuity_sweep, default_r_max, run_uniqueness_analysis)
+from .verify import continuity_sweep, default_r_max, run_uniqueness_analysis
 from .vorticity import validate_hypotheses
 
 # exit 2: configuration and usage errors, and output directories or files
@@ -194,41 +193,8 @@ def cmd_integrate(cfg: cfgmod.RunConfig) -> int:
     return 0
 
 
-def cmd_verify(cfg: cfgmod.RunConfig) -> int:
-    model = cfgmod.build_model(cfg)
-    out = _outdir(cfg)
-    hypothesis = validate_hypotheses(model)
-    checks: list[tuple[str, bool]] = [
-        ("sign_condition", hypothesis.sign_margin > 0.0),
-        ("holder_bound", hypothesis.holder_sup <= model.holder_C),
-    ]
-    if not hypothesis.verdict:
-        for name, ok in checks:
-            print(f"{name}: {'PASS' if ok else 'FAIL'}")
-        print("verdict = false")
-        return 1
-
-    r_max = cfg.r_max
-    if r_max is None:
-        r_max = default_r_max(model, cfg.r0, cfg.psi1)
-    grid = cfgmod.build_grid(cfg, cfg.r0, r_max)
-    try:
-        result = run_uniqueness_analysis(
-            model, r0=cfg.r0, psi1=cfg.psi1, r_max=r_max, grid=grid,
-            picard_tol=cfg.tol, picard_max_iter=cfg.max_iter,
-            control=cfgmod.build_control(cfg))
-        report = result.report
-        checks.append(("lower_bound", report.lower_bound_margin >= -LOWER_BOUND_TOL))
-        checks.append(("contraction", report.contraction_ratio <= CONTRACTION_RATIO_MAX))
-        checks.append(("cross_method", report.cross_method_weighted_sup <= CROSS_METHOD_SUP_MAX))
-    except ContractionViolationError as exc:
-        checks.append(("contraction", False))
-        for name, ok in checks:
-            print(f"{name}: {'PASS' if ok else 'FAIL'}")
-        print(f"contraction violated at r = {_fmt(exc.r_at)} (excess {_fmt(exc.excess)})")
-        print("verdict = false")
-        return 1
-
+def _write_certificate(out: str, model, result) -> None:
+    report, hypothesis = result.report, result.hypothesis
     lines = [f"{key} = {_fmt(value)}" for key, value in report.as_dict().items()]
     lines.append(f"sign_margin = {_fmt(hypothesis.sign_margin)}")
     lines.append(f"holder_sup = {_fmt(hypothesis.holder_sup)}")
@@ -246,10 +212,37 @@ def cmd_verify(cfg: cfgmod.RunConfig) -> int:
             [("weighted deviation", trace_r, trace_y)],
             "Cross-method weighted deviation toward r0", "r", "y(r)")))))
 
+
+def cmd_verify(cfg: cfgmod.RunConfig) -> int:
+    """Print hypothesis.checks then report.checks; exit 0 only if all pass."""
+    model = cfgmod.build_model(cfg)
+    out = _outdir(cfg)
+    hypothesis = validate_hypotheses(model)
+    checks = list(hypothesis.checks)
+    violation = None
+    if hypothesis.verdict:
+        r_max = cfg.r_max if cfg.r_max is not None else default_r_max(model, cfg.r0, cfg.psi1)
+        grid = cfgmod.build_grid(cfg, cfg.r0, r_max)
+        try:
+            result = run_uniqueness_analysis(
+                model, r0=cfg.r0, psi1=cfg.psi1, r_max=r_max, grid=grid,
+                picard_tol=cfg.tol, picard_max_iter=cfg.max_iter,
+                control=cfgmod.build_control(cfg))
+        except ContractionViolationError as exc:
+            checks.append(("contraction", False))
+            violation = (f"contraction violated at r = {_fmt(exc.r_at)} "
+                         f"(excess {_fmt(exc.excess)})")
+        else:
+            checks.extend(result.report.checks)
+            _write_certificate(out, model, result)
+
     for name, ok in checks:
         print(f"{name}: {'PASS' if ok else 'FAIL'}")
-    print(f"verdict = {_fmt(report.verdict)}")
-    return 0 if report.verdict and all(ok for _, ok in checks) else 1
+    if violation is not None:
+        print(violation)
+    verdict = all(ok for _, ok in checks)
+    print(f"verdict = {_fmt(verdict)}")
+    return 0 if verdict else 1
 
 
 def cmd_sweep(cfg: cfgmod.RunConfig) -> int:

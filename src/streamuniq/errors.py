@@ -31,7 +31,8 @@ class NonConvergenceError(StreamuniqError):
 
 
 class WindowCollapseError(StreamuniqError):
-    """An iterate left the admissible band (0, delta] at the first interior node."""
+    """An iterate left the admissible band (0, delta] at the first interior node,
+    or the certification window holds no interior node."""
 
 
 class StepSizeUnderflowError(StreamuniqError):

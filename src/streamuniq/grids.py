@@ -80,11 +80,6 @@ class RadialGrid:
         return self.nodes.size
 
     @property
-    def spacings(self) -> np.ndarray:
-        """r_{i+1} - r_i, the first array of ``prefix_geometry``."""
-        return self.prefix_geometry[0]
-
-    @property
     def log_weights(self) -> np.ndarray:
         """ln(r_i / r0), exactly 0 at the first node."""
         if self._log_weights is None:
@@ -107,20 +102,6 @@ class RadialGrid:
         if r < self.nodes[0]:
             raise DomainError(f"radius {r!r} lies left of the grid")
         return max(0, int(np.searchsorted(self.nodes, r, side="right")) - 1)
-
-    def validate(self) -> None:
-        """Re-check the structural invariants, including grading uniformity."""
-        if not np.all(np.diff(self.nodes) > 0.0):
-            raise DomainError("grid nodes must increase strictly")
-        if self.kind == "geometric":
-            h = self.spacings
-            drift = np.abs(h[:-1] / h[1:] - self.ratio)
-            # spacings are recovered by differencing cumsum-built nodes, so
-            # each carries ~eps*r_max of absolute cancellation noise; scale
-            # the uniformity bound to the smallest piece
-            cancel = 64.0 * np.finfo(np.float64).eps * self.r_max / float(h.min())
-            if float(drift.max()) > self.ratio * max(1.0e-12, cancel):
-                raise DomainError("geometric spacing ratio drifted beyond tolerance")
 
     def __repr__(self) -> str:
         return (f"RadialGrid(kind={self.kind!r}, n={self.n}, r0={self.r0!r}, "

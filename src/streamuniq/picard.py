@@ -93,9 +93,9 @@ def _window_end(nodes: np.ndarray, psi: np.ndarray, delta: float) -> float:
 
 
 def _require_valid(model: VorticityModel, allow_unvalidated: bool,
-                   validation: HypothesisReport | None) -> HypothesisReport | None:
+                   validation: HypothesisReport | None) -> None:
     if allow_unvalidated:
-        return validation
+        return
     report = validation if validation is not None else validate_hypotheses(model)
     if not report.verdict:
         raise ModelValidationError(
@@ -103,7 +103,6 @@ def _require_valid(model: VorticityModel, allow_unvalidated: bool,
             f"(sign_margin={report.sign_margin!r}, holder_sup={report.holder_sup!r}, "
             f"holder_C={model.holder_C!r}); only picard_solve and rk_solve can skip "
             "this check, with allow_unvalidated=True")
-    return report
 
 
 def picard_solve(model: VorticityModel, r0: float, psi1: float, grid: RadialGrid,
@@ -141,9 +140,10 @@ def picard_solve(model: VorticityModel, r0: float, psi1: float, grid: RadialGrid
     a = r0 * abs(psi1)
     L = grid.log_weights
     m = a * L
-    psi = m.copy()
+    # nothing writes into an iterate, so psi and the record share arrays
+    psi = m
     deltas: list[float] = []
-    iterates: list[np.ndarray] = [psi.copy()]
+    iterates: list[np.ndarray] = [m]
     diagnostics = PicardDiagnostics(iterations=0, weighted_deltas=deltas,
                                     converged=False, iterates=iterates)
 
@@ -154,28 +154,28 @@ def picard_solve(model: VorticityModel, r0: float, psi1: float, grid: RadialGrid
                 f"iterate left (0, {model.delta!r}] at the first interior node "
                 f"r = {grid.nodes[1]!r} (value {first!r}); refine the grid near r0")
 
-    def _finite_vorticity(candidate_values: np.ndarray, k: int) -> None:
-        # a diverging iterate can push the law past overflow; that is a
-        # solver failure, not a malformed input
-        if not np.all(np.isfinite(candidate_values)):
-            diagnostics.iterations = k
+    def _vorticity_prefix(candidate: np.ndarray):
+        # kernel_prefix rejects non-finite values; from a diverging iterate
+        # that is a solver failure, not a malformed input
+        try:
+            return kernel_prefix(grid, model.evaluate_grid(candidate))
+        except DomainError:
             raise NonConvergenceError("vorticity evaluation turned non-finite",
-                                      diagnostics)
+                                      diagnostics) from None
 
     _check_band(psi)
+    # diagnostics.iterations counts the iterates accepted so far, which is
+    # what a failure inside iteration k reports
     converged = False
     for k in range(max_iter):
-        values = model.evaluate_grid(psi)
-        _finite_vorticity(values, k)
-        A, B = kernel_prefix(grid, values)
+        A, B = _vorticity_prefix(psi)
         psi_next = m - (L * A - B)
         if not np.all(np.isfinite(psi_next)):
-            diagnostics.iterations = k
             raise NonConvergenceError("iterate turned non-finite", diagnostics)
         _check_band(psi_next)
         d = float(np.max(np.abs(psi_next[1:] - psi[1:]) / L[1:]))
         deltas.append(d)
-        iterates.append(psi_next.copy())
+        iterates.append(psi_next)
         psi = psi_next
         diagnostics.iterations = k + 1
         if d <= tol:
@@ -187,9 +187,7 @@ def picard_solve(model: VorticityModel, r0: float, psi1: float, grid: RadialGrid
             f"(last weighted delta {deltas[-1]!r})", diagnostics)
     diagnostics.converged = True
 
-    values = model.evaluate_grid(psi)
-    _finite_vorticity(values, diagnostics.iterations)
-    A, _ = kernel_prefix(grid, values)
+    A, _ = _vorticity_prefix(psi)
     u = a - A
     window_end = _window_end(grid.nodes, psi, model.delta)
     if reflect:

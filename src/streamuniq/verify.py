@@ -27,7 +27,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .errors import ContractionViolationError, DomainError
+from .errors import ContractionViolationError, DomainError, WindowCollapseError
 from .grids import RadialGrid
 from .picard import (PicardDiagnostics, Trajectory, picard_solve, residual, weighted_norm)
 from .rk import RKDiagnostics, StepControl, rk_solve
@@ -39,7 +39,7 @@ _LOG_CAP_MARGIN = 1.0e-9
 BINDING_LOG = "log"
 BINDING_QUADRATIC = "quadratic"
 
-# verdict thresholds; cli.cmd_verify prints one check per threshold
+# verdict thresholds, compared only where UniquenessReport.checks is built
 LOWER_BOUND_TOL = 1.0e-8
 CONTRACTION_RATIO_MAX = 0.55
 CROSS_METHOD_SUP_MAX = 1.0e-6
@@ -65,7 +65,11 @@ class UniquenessWindow:
 
 @dataclass(frozen=True)
 class UniquenessReport:
-    """Outcome of the full cross-method certification run."""
+    """Outcome of the full cross-method certification run.
+
+    checks holds (name, passed) for lower_bound, contraction and
+    cross_method, in that order; the verdict is their conjunction.
+    """
 
     r2: float
     binding_constraint: str
@@ -76,7 +80,11 @@ class UniquenessReport:
     cross_method_weighted_sup: float
     deviation_limit_trace: list[tuple[float, float]] = field(repr=False)
     slack_budget: float
-    verdict: bool
+    checks: tuple[tuple[str, bool], ...]
+
+    @property
+    def verdict(self) -> bool:
+        return all(passed for _, passed in self.checks)
 
     def as_dict(self) -> dict:
         return {
@@ -125,7 +133,8 @@ def compute_r2(r0: float, psi1: float, holder_C: float) -> UniquenessWindow:
 def _window_slice(grid: RadialGrid, window: UniquenessWindow) -> slice:
     iw = grid.index_at(window.window_end_effective)
     if iw < 1:
-        raise DomainError("certification window contains no interior node")
+        raise WindowCollapseError("certification window contains no interior node; "
+                                  "refine the grid near r0")
     return slice(1, iw + 1)
 
 
@@ -165,7 +174,7 @@ def deviation_limit_trace(traj_a: Trajectory, traj_b: Trajectory,
     lw = traj_a.grid.log_weights
     span = window.window_end_effective - traj_a.r0
     if span <= 0.0:
-        raise DomainError("certification window is empty")
+        raise WindowCollapseError("certification window is empty; refine the grid near r0")
     out: list[tuple[float, float]] = []
     seen = set()
     for j in range(12):
@@ -316,8 +325,6 @@ def run_uniqueness_analysis(model: VorticityModel, r0: float = 1.0, psi1: float 
     probe_ratio = contraction_probe(model, traj_p, traj_rk, window, slack=slack)
     trace = deviation_limit_trace(traj_p, traj_rk, window)
 
-    verdict = (margin >= -LOWER_BOUND_TOL and contraction_ratio <= CONTRACTION_RATIO_MAX
-               and cross_sup <= CROSS_METHOD_SUP_MAX)
     report = UniquenessReport(
         r2=window.r2,
         binding_constraint=window.binding_constraint,
@@ -328,7 +335,9 @@ def run_uniqueness_analysis(model: VorticityModel, r0: float = 1.0, psi1: float 
         cross_method_weighted_sup=cross_sup,
         deviation_limit_trace=trace,
         slack_budget=slack,
-        verdict=verdict,
+        checks=(("lower_bound", margin >= -LOWER_BOUND_TOL),
+                ("contraction", contraction_ratio <= CONTRACTION_RATIO_MAX),
+                ("cross_method", cross_sup <= CROSS_METHOD_SUP_MAX)),
     )
     return AnalysisResult(report=report, window=window, hypothesis=hypothesis,
                           traj_picard=traj_p, traj_rk=traj_rk,

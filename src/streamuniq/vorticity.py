@@ -125,14 +125,19 @@ class HypothesisReport:
 
     sign_margin is min over samples of -psi*f(psi) (forced negative when
     f(0) != 0); holder_sup is the sampled supremum of the weighted quotient
-    sqrt(min(|p|,|q|)) * |f(p)-f(q)| / |p-q|.  A partial report produced by
-    the sign check alone carries holder_sup = 0.
+    sqrt(min(|p|,|q|)) * |f(p)-f(q)| / |p-q|.  checks holds (name, passed)
+    for sign_condition and holder_bound, in that order; the verdict is their
+    conjunction.
     """
 
     sign_margin: float
     holder_sup: float
     samples_used: int
-    verdict: bool
+    checks: tuple[tuple[str, bool], ...]
+
+    @property
+    def verdict(self) -> bool:
+        return all(passed for _, passed in self.checks)
 
 
 def validate_oscillatory_constants(c1: float, c2: float) -> None:
@@ -155,29 +160,6 @@ def validate_oscillatory_constants(c1: float, c2: float) -> None:
     if OSCILLATORY_C2_BOUND - c2 <= _EQ_RTOL * OSCILLATORY_C2_BOUND:
         raise ModelValidationError(
             f"need c2 < {OSCILLATORY_C2_BOUND!r} strictly, got c2 = {c2!r}")
-
-
-def check_sign_condition(model: VorticityModel) -> HypothesisReport:
-    """Sample psi*f(psi) < 0 at psi = 0 and at +-2000 log-spaced magnitudes
-    accumulating at 0.
-
-    The margin is the raw minimum of -psi*f(psi); it decays like
-    |psi|^{3/2} for the builtin laws, so strict positivity (not size) is the
-    meaningful outcome.
-    """
-    mags = model.delta * np.logspace(0.0, -12.0, 2000)
-    samples = np.concatenate([mags, -mags])
-    fvals = model.evaluate_grid(samples)
-    margin = float(np.min(-samples * fvals))
-    f0 = model.evaluate(0.0)
-    if f0 != 0.0:
-        margin = min(margin, -abs(f0))
-    return HypothesisReport(
-        sign_margin=margin,
-        holder_sup=0.0,
-        samples_used=samples.size + 1,
-        verdict=margin > 0.0,
-    )
 
 
 def _quotients(model: VorticityModel, a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -223,12 +205,25 @@ def estimate_holder_constant(model: VorticityModel) -> tuple[float, int]:
 
 
 def validate_hypotheses(model: VorticityModel) -> HypothesisReport:
-    """Run both sampled checks and combine them into one verdict."""
-    sign_rep = check_sign_condition(model)
+    """Sample both hypotheses and report one check for each.
+
+    The sign condition psi*f(psi) < 0 is sampled at psi = 0 and at +-2000
+    log-spaced magnitudes accumulating at 0.  Its margin is the raw minimum
+    of -psi*f(psi); it decays like |psi|^{3/2} for the builtin laws, so
+    strict positivity (not size) is the meaningful outcome.  The bound is
+    the sampled supremum from estimate_holder_constant against holder_C.
+    """
+    mags = model.delta * np.logspace(0.0, -12.0, 2000)
+    samples = np.concatenate([mags, -mags])
+    margin = float(np.min(-samples * model.evaluate_grid(samples)))
+    f0 = model.evaluate(0.0)
+    if f0 != 0.0:
+        margin = min(margin, -abs(f0))
     holder_sup, pairs = estimate_holder_constant(model)
     return HypothesisReport(
-        sign_margin=sign_rep.sign_margin,
+        sign_margin=margin,
         holder_sup=holder_sup,
-        samples_used=sign_rep.samples_used + pairs,
-        verdict=(sign_rep.sign_margin > 0.0) and (holder_sup <= model.holder_C),
+        samples_used=samples.size + 1 + pairs,
+        checks=(("sign_condition", margin > 0.0),
+                ("holder_bound", holder_sup <= model.holder_C)),
     )

@@ -6,7 +6,9 @@ import numpy as np
 import pytest
 
 import streamuniq
-from streamuniq import RadialGrid, VorticityModel, continuity_sweep, run_uniqueness_analysis
+import streamuniq.verify
+from streamuniq import (ContractionViolationError, RadialGrid, VorticityModel, continuity_sweep,
+                        run_uniqueness_analysis)
 from streamuniq.cli import (CSV_BLOCK_ROWS, WRITE_SLICE_CHARS, _load, build_parser, main,
                             write_atomic, write_csv)
 from streamuniq.config import load_config
@@ -119,6 +121,47 @@ def test_verify_rejecting_model_exits_one(tmp_path, capsys):
     assert "verdict = false" in stdout
     # the run fails before any artifact is produced
     assert not (out / "report.txt").exists()
+
+
+def test_verify_prints_the_threshold_the_verdict_used(tmp_path, capsys, monkeypatch):
+    # the printed check and the verdict read one comparison, so a tightened
+    # threshold fails both
+    monkeypatch.setattr(streamuniq.verify, "CROSS_METHOD_SUP_MAX", 0.0)
+    code = main(["verify", "--out", str(tmp_path / "cert")])
+    stdout = capsys.readouterr().out
+    assert "cross_method: FAIL" in stdout
+    assert stdout.endswith("verdict = false\n")
+    assert code == 1
+
+
+def test_verify_contraction_violation_exits_one(tmp_path, capsys, monkeypatch):
+    def violate(*args, **kwargs):
+        raise ContractionViolationError("x", 1.25, 3e-9)
+
+    monkeypatch.setattr(streamuniq.verify, "contraction_probe", violate)
+    out = tmp_path / "cert"
+    code = main(["verify", "--out", str(out)])
+    assert code == 1
+    assert capsys.readouterr().out == (
+        "sign_condition: PASS\n"
+        "holder_bound: PASS\n"
+        "contraction: FAIL\n"
+        "contraction violated at r = 1.25 (excess 3e-09)\n"
+        "verdict = false\n")
+    assert os.listdir(out) == []
+
+
+def test_verify_window_without_interior_node_exits_three(tmp_path, capsys):
+    # at psi1 = 1e-8 the window ends left of the first interior node of 65
+    out = tmp_path / "cert"
+    code = main(["verify", "--psi1", "1e-8", "--r-max", "2", "--nodes", "65",
+                 "--out", str(out)])
+    assert code == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("solver failure: certification window contains "
+                                   "no interior node")
+    assert os.listdir(out) == []
 
 
 def test_integrate_rejecting_model_names_the_solvers_that_can_skip_the_check(tmp_path, capsys):

@@ -79,9 +79,11 @@ def test_validation_gate(classical_model):
     with pytest.raises(ModelValidationError, match="allow_unvalidated"):
         picard_solve(zero, 1.0, 1.0, grid)
     # a supplied report takes precedence over re-sampling
-    ok = HypothesisReport(sign_margin=1.0, holder_sup=0.0, samples_used=1, verdict=True)
+    ok = HypothesisReport(sign_margin=1.0, holder_sup=0.0, samples_used=1,
+                          checks=(("sign_condition", True), ("holder_bound", True)))
     picard_solve(zero, 1.0, 1.0, grid, validation=ok)
-    bad = HypothesisReport(sign_margin=-1.0, holder_sup=0.0, samples_used=1, verdict=False)
+    bad = HypothesisReport(sign_margin=-1.0, holder_sup=0.0, samples_used=1,
+                           checks=(("sign_condition", False), ("holder_bound", True)))
     with pytest.raises(ModelValidationError):
         picard_solve(classical_model, 1.0, 1.0, grid, validation=bad)
 
@@ -108,6 +110,27 @@ def test_non_finite_iterate_detected():
     grid = RadialGrid.geometric(1.0, 1.5, 257)
     with pytest.raises(NonConvergenceError, match="non-finite"):
         picard_solve(blowup, 1.0, 1.0, grid, allow_unvalidated=True)
+
+
+def test_vorticity_overflow_is_non_convergence_at_either_call_site():
+    # the law turns infinite after a set number of grid evaluations, so the
+    # overflow lands in iteration 2 or in the final evaluation for u
+    grid = RadialGrid.geometric(1.0, 1.5, 257)
+    linear = VorticityModel.custom(lambda p: -p, holder_C=1.0)
+    _, diag = picard_solve(linear, 1.0, 1.0, grid, allow_unvalidated=True)
+    for finite_evals in (2, diag.iterations):
+        calls = []
+
+        def law(p):
+            calls.append(p)
+            return -p if len(calls) <= finite_evals * grid.n else np.inf
+
+        model = VorticityModel.custom(law, holder_C=1.0)
+        with pytest.raises(NonConvergenceError,
+                           match="^vorticity evaluation turned non-finite$") as err:
+            picard_solve(model, 1.0, 1.0, grid, allow_unvalidated=True)
+        assert err.value.diagnostics.iterations == finite_evals
+        assert len(err.value.diagnostics.weighted_deltas) == finite_evals
 
 
 @pytest.mark.parametrize("kwargs", [

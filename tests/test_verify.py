@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from streamuniq import (ContractionViolationError, DomainError, RadialGrid,
-                        Trajectory, UniquenessWindow, VorticityModel,
+                        Trajectory, UniquenessWindow, VorticityModel, WindowCollapseError,
                         check_lower_bound, compute_r2, continuity_sweep,
                         contraction_probe, deviation_limit_trace,
                         run_uniqueness_analysis, trace_is_monotone,
@@ -97,6 +97,14 @@ class TestClassicalAnalysis:
             classical_analysis.window)
         assert ratios
         assert max(ratios) <= 0.55
+
+    def test_checks_are_the_readme_list(self, classical_analysis):
+        # verify prints hypothesis.checks, then report.checks, in this order
+        res = classical_analysis
+        names = [name for name, _ in res.hypothesis.checks + res.report.checks]
+        assert names == ["sign_condition", "holder_bound", "lower_bound",
+                         "contraction", "cross_method"]
+        assert all(passed for _, passed in res.report.checks)
 
     def test_as_dict_roundtrip(self, classical_analysis):
         d = classical_analysis.report.as_dict()
@@ -217,6 +225,16 @@ def test_contraction_probe_coincident_pair():
     window = UniquenessWindow(r2=2.0, binding_constraint="quadratic",
                               window_end_effective=2.0)
     assert contraction_probe(VorticityModel.classical(), ta, tb, window) == 0.0
+
+
+def test_window_without_interior_node_collapses():
+    ta, tb = _toy_pair(alpha=0.0)
+    empty = UniquenessWindow(r2=2.0, binding_constraint="quadratic",
+                             window_end_effective=ta.r0)
+    with pytest.raises(WindowCollapseError, match="refine the grid"):
+        check_lower_bound(ta, empty)
+    with pytest.raises(WindowCollapseError, match="refine the grid"):
+        deviation_limit_trace(ta, tb, empty)
 
 
 def test_contraction_probe_guards():

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from streamuniq import (OSCILLATORY_C2_BOUND, DomainError, ModelValidationError,
-                        VorticityModel, check_sign_condition, estimate_holder_constant,
+                        VorticityModel, estimate_holder_constant,
                         validate_hypotheses, validate_oscillatory_constants, zero_vorticity)
 
 # closed-form samples of the classical law psi - psi/sqrt(|psi|)
@@ -106,31 +106,34 @@ def test_model_domain_errors():
 
 
 def test_sign_condition_classical(classical_model):
-    report = check_sign_condition(classical_model)
+    report = validate_hypotheses(classical_model)
+    assert report.checks == (("sign_condition", True), ("holder_bound", True))
     assert report.verdict
     # margin decays like |psi|^{3/2} at the smallest sampled magnitude
     assert 0.0 < report.sign_margin < 1.0e-6
-    assert report.holder_sup == 0.0
 
 
 def test_sign_condition_zero_model():
     model = VorticityModel.custom(zero_vorticity, holder_C=1.0)
-    report = check_sign_condition(model)
+    report = validate_hypotheses(model)
     assert report.sign_margin == 0.0
+    assert report.checks[0] == ("sign_condition", False)
     assert not report.verdict
 
 
 def test_sign_condition_wrong_sign():
     model = VorticityModel.custom(lambda p: p, holder_C=1.0)
-    report = check_sign_condition(model)
+    report = validate_hypotheses(model)
     assert report.sign_margin < 0.0
+    assert report.checks[0] == ("sign_condition", False)
     assert not report.verdict
 
 
 def test_sign_condition_nonzero_at_origin():
     model = VorticityModel.custom(lambda p: p - 0.5, holder_C=1.0)
-    report = check_sign_condition(model)
+    report = validate_hypotheses(model)
     assert report.sign_margin <= -0.5
+    assert report.checks[0] == ("sign_condition", False)
     assert not report.verdict
 
 
