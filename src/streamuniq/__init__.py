@@ -14,7 +14,7 @@ from .errors import (ConfigError, ContractionViolationError, DomainError,
 from .grids import RadialGrid
 from .picard import (PicardDiagnostics, Trajectory, picard_solve, residual, weighted_norm)
 from .quadrature import kernel_integral_all, kernel_prefix
-from .rk import (RKDiagnostics, StepControl, convergence_order_probe, rk_solve)
+from .rk import RKDiagnostics, StepControl, rk_solve
 from .verify import (AnalysisResult, UniquenessReport, UniquenessWindow, check_lower_bound,
                      compute_r2, continuity_sweep, contraction_probe, deviation_limit_trace,
                      run_uniqueness_analysis, trace_is_monotone,
@@ -49,7 +49,6 @@ __all__ = [
     "compute_r2",
     "continuity_sweep",
     "contraction_probe",
-    "convergence_order_probe",
     "deviation_limit_trace",
     "estimate_holder_constant",
     "kernel_integral_all",

@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from .errors import NonConvergenceError, StepSizeUnderflowError
+
 
 # ---------------------------------------------------------------------------
 # scalar vorticity
@@ -146,24 +148,24 @@ _FACC1 = 5.0  # hnew >= h/5 on any single adjustment
 _FACC2 = 0.1  # hnew <= 10*h
 _MAX_STEPS = 10_000_000
 
-RK_OK = 0
-RK_UNDERFLOW = 1
-RK_BUDGET = 2
-RK_NONFINITE = 3
 
-
-def rk_core(f, u0, r_max, rtol, atol, h_init, h_min, h_max, nodes_out, psi_out, u_out):
+def rk_core(f, u0, r_max, rtol, atol, h_init, h_min, h_max, nodes_out):
     """Integrate psi' = u/r, u' = -r*f(psi) from (nodes_out[0], 0, u0).
 
-    Fills psi_out/u_out at every node of nodes_out (strictly increasing,
-    nodes_out[-1] <= r_max).  Each accepted step fills the nodes it covers in
-    one vectorised evaluation of its quartic dense interpolant, with per node
-    the same arithmetic as a scalar evaluation.
-    Returns (n_accepted, n_rejected, h_last, status, r_at).
+    Returns (psi, u, n_accepted, n_rejected, h_last) with psi and u sampled
+    at every node of nodes_out (strictly increasing, nodes_out[-1] <= r_max).
+    Each accepted step fills the nodes it covers in one vectorised
+    evaluation of its quartic dense interpolant, with per node the same
+    arithmetic as a scalar evaluation.  Raises StepSizeUnderflowError when
+    the step falls below h_min (or no longer advances r), and
+    NonConvergenceError when the step budget runs out or the state turns
+    non-finite.
     """
     t = nodes_out[0]
     p = 0.0
     u = u0
+    psi_out = np.empty_like(nodes_out)
+    u_out = np.empty_like(nodes_out)
     psi_out[0] = 0.0
     u_out[0] = u0
     kp1 = u / t
@@ -175,8 +177,6 @@ def rk_core(f, u0, r_max, rtol, atol, h_init, h_min, h_max, nodes_out, psi_out, 
     n_acc = 0
     n_rej = 0
     rejected = False
-    status = RK_OK
-    r_at = t
     while idx < n_out:
         if h > h_max:
             h = h_max
@@ -184,18 +184,11 @@ def rk_core(f, u0, r_max, rtol, atol, h_init, h_min, h_max, nodes_out, psi_out, 
         if t + h >= r_max:
             h = r_max - t
             last = True
-        elif h < h_min:
-            status = RK_UNDERFLOW
-            r_at = t
-            break
-        if t + h <= t:
-            status = RK_UNDERFLOW
-            r_at = t
-            break
+        if (not last and h < h_min) or t + h <= t:
+            raise StepSizeUnderflowError(
+                f"step size fell below h_min = {float(h_min)!r} at r = {float(t)!r}", float(t))
         if n_acc + n_rej >= _MAX_STEPS:
-            status = RK_BUDGET
-            r_at = t
-            break
+            raise NonConvergenceError(f"step budget exhausted at r = {float(t)!r}")
 
         s2 = t + _C2 * h
         p2 = p + h * (_A21 * kp1)
@@ -237,9 +230,7 @@ def rk_core(f, u0, r_max, rtol, atol, h_init, h_min, h_max, nodes_out, psi_out, 
         eu = h * (_E1 * ku1 + _E3 * ku3 + _E4 * ku4 + _E5 * ku5 + _E6 * ku6 + _E7 * ku7)
 
         if not (np.isfinite(pn) and np.isfinite(un) and np.isfinite(ep) and np.isfinite(eu)):
-            status = RK_NONFINITE
-            r_at = t
-            break
+            raise NonConvergenceError(f"state turned non-finite at r = {float(t)!r}")
 
         scp = atol + rtol * max(abs(p), abs(pn))
         scu = atol + rtol * max(abs(u), abs(un))
@@ -279,7 +270,7 @@ def rk_core(f, u0, r_max, rtol, atol, h_init, h_min, h_max, nodes_out, psi_out, 
             n_rej += 1
             rejected = True
             h = h / min(_FACC1, fac11 / _SAFETY)
-    return n_acc, n_rej, h, status, r_at
+    return psi_out, u_out, n_acc, n_rej, h
 
 
 # perfbench/tracing.py times the RK core by wrapping this name, so rk_solve

@@ -216,7 +216,6 @@ def _write_certificate(out: str, model, result) -> None:
 def cmd_verify(cfg: cfgmod.RunConfig) -> int:
     """Print hypothesis.checks then report.checks; exit 0 only if all pass."""
     model = cfgmod.build_model(cfg)
-    out = _outdir(cfg)
     hypothesis = validate_hypotheses(model)
     checks = list(hypothesis.checks)
     violation = None
@@ -234,7 +233,7 @@ def cmd_verify(cfg: cfgmod.RunConfig) -> int:
                          f"(excess {_fmt(exc.excess)})")
         else:
             checks.extend(result.report.checks)
-            _write_certificate(out, model, result)
+            _write_certificate(_outdir(cfg), model, result)
 
     for name, ok in checks:
         print(f"{name}: {'PASS' if ok else 'FAIL'}")

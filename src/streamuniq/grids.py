@@ -29,7 +29,7 @@ class RadialGrid:
         if not np.all(np.isfinite(nodes)):
             raise DomainError("grid nodes must be finite")
         if nodes[0] < 1.0:
-            raise DomainError(f"r0 must be >= 1, got {nodes[0]!r}")
+            raise DomainError(f"r0 must be >= 1, got {float(nodes[0])!r}")
         if not np.all(np.diff(nodes) > 0.0):
             raise DomainError("grid nodes must increase strictly")
         self.nodes = nodes
@@ -112,7 +112,7 @@ def _check_span(r0: float, r_max: float, n: int) -> None:
     if not (np.isfinite(r0) and np.isfinite(r_max)):
         raise DomainError("grid bounds must be finite")
     if r0 < 1.0:
-        raise DomainError(f"r0 must be >= 1, got {r0!r}")
+        raise DomainError(f"r0 must be >= 1, got {float(r0)!r}")
     if r_max <= r0:
         raise DomainError("r_max must exceed r0")
     if n < 2:

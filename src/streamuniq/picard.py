@@ -33,7 +33,9 @@ class Trajectory:
 
     window_end is the last node radius at which the (sign-normalized) value
     still lies in the admissibility band (0, delta]; it equals r0 when the
-    band is left immediately, and r_max when it is never left.
+    band is left immediately, and r_max when it is never left.  Both solvers
+    build their trajectory in _signed_trajectory, which reads the band exit
+    before it reflects the solution for psi1 < 0.
     """
 
     grid: RadialGrid
@@ -92,6 +94,24 @@ def _window_end(nodes: np.ndarray, psi: np.ndarray, delta: float) -> float:
     return float(nodes[exits[0]])  # last node still inside is one before the exit
 
 
+def _check_start(r0: float, psi1: float) -> None:
+    if not (np.isfinite(r0) and r0 >= 1.0):
+        raise DomainError(f"r0 must be finite and >= 1, got {float(r0)!r}")
+    if not (np.isfinite(psi1) and psi1 != 0.0):
+        raise DomainError("psi1 must be finite and nonzero")
+
+
+def _signed_trajectory(model: VorticityModel, psi1: float, grid: RadialGrid,
+                       psi: np.ndarray, u: np.ndarray, method_tag: str) -> Trajectory:
+    """The trajectory for psi1 from the solution (psi, u) for |psi1|: the band
+    exit is read first, then psi1 < 0 reflects psi -> -psi (exact for odd laws)."""
+    window_end = _window_end(grid.nodes, psi, model.delta)
+    if psi1 < 0.0:
+        psi = -psi
+        u = -u
+    return Trajectory(grid=grid, psi=psi, u=u, window_end=window_end, method_tag=method_tag)
+
+
 def _require_valid(model: VorticityModel, allow_unvalidated: bool,
                    validation: HypothesisReport | None) -> None:
     if allow_unvalidated:
@@ -124,10 +144,7 @@ def picard_solve(model: VorticityModel, r0: float, psi1: float, grid: RadialGrid
         If max_iter is exhausted or an iterate turns non-finite; diagnostics
         collected so far ride along on the exception.
     """
-    if not (np.isfinite(r0) and r0 >= 1.0):
-        raise DomainError(f"r0 must be finite and >= 1, got {r0!r}")
-    if not (np.isfinite(psi1) and psi1 != 0.0):
-        raise DomainError("psi1 must be finite and nonzero")
+    _check_start(r0, psi1)
     if grid.nodes[0] != r0:
         raise DomainError("grid must start exactly at r0")
     if not (tol > 0.0 and np.isfinite(tol)):
@@ -136,7 +153,6 @@ def picard_solve(model: VorticityModel, r0: float, psi1: float, grid: RadialGrid
         raise DomainError("max_iter must be at least 1")
     _require_valid(model, allow_unvalidated, validation)
 
-    reflect = psi1 < 0.0
     a = r0 * abs(psi1)
     L = grid.log_weights
     m = a * L
@@ -151,8 +167,8 @@ def picard_solve(model: VorticityModel, r0: float, psi1: float, grid: RadialGrid
         first = candidate[1]
         if not (0.0 < first <= model.delta):
             raise WindowCollapseError(
-                f"iterate left (0, {model.delta!r}] at the first interior node "
-                f"r = {grid.nodes[1]!r} (value {first!r}); refine the grid near r0")
+                f"iterate left (0, {model.delta!r}] at the first interior node r = "
+                f"{float(grid.nodes[1])!r} (value {float(first)!r}); refine the grid near r0")
 
     def _vorticity_prefix(candidate: np.ndarray):
         # kernel_prefix rejects non-finite values; from a diverging iterate
@@ -166,7 +182,6 @@ def picard_solve(model: VorticityModel, r0: float, psi1: float, grid: RadialGrid
     _check_band(psi)
     # diagnostics.iterations counts the iterates accepted so far, which is
     # what a failure inside iteration k reports
-    converged = False
     for k in range(max_iter):
         A, B = _vorticity_prefix(psi)
         psi_next = m - (L * A - B)
@@ -179,22 +194,15 @@ def picard_solve(model: VorticityModel, r0: float, psi1: float, grid: RadialGrid
         psi = psi_next
         diagnostics.iterations = k + 1
         if d <= tol:
-            converged = True
             break
-    if not converged:
+    else:
         raise NonConvergenceError(
-            f"no convergence to {tol!r} within {max_iter} iterations "
+            f"no convergence to {float(tol)!r} within {max_iter} iterations "
             f"(last weighted delta {deltas[-1]!r})", diagnostics)
-    diagnostics.converged = True
 
     A, _ = _vorticity_prefix(psi)
-    u = a - A
-    window_end = _window_end(grid.nodes, psi, model.delta)
-    if reflect:
-        psi = -psi
-        u = -u
-    traj = Trajectory(grid=grid, psi=psi, u=u, window_end=window_end, method_tag="picard")
-    return traj, diagnostics
+    diagnostics.converged = True
+    return _signed_trajectory(model, psi1, grid, psi, a - A, "picard"), diagnostics
 
 
 def residual(model: VorticityModel, traj: Trajectory, weighted: bool = False) -> float:

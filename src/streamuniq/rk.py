@@ -10,6 +10,11 @@ and a quartic dense-output interpolant used to fill the requested output
 nodes, so output resolution never constrains step selection.  Each accepted
 step fills every output node it covers in one vectorised evaluation of the
 interpolant, so the cost per output node is a few array operations.
+
+The stepping is ``_kernels.rk_core``, which returns the sampled arrays and
+raises the package's solver errors where the integration stalls;
+``rk_solve`` checks its inputs and hands the solution for |psi1| to
+``picard._signed_trajectory``, the one home of the psi1 < 0 reflection.
 """
 
 from __future__ import annotations
@@ -19,9 +24,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _kernels
-from .errors import DomainError, NonConvergenceError, StepSizeUnderflowError
+from .errors import DomainError
 from .grids import RadialGrid
-from .picard import Trajectory, _require_valid, _window_end
+from .picard import Trajectory, _check_start, _require_valid, _signed_trajectory
 from .vorticity import HypothesisReport, VorticityModel
 
 
@@ -75,10 +80,7 @@ def rk_solve(model: VorticityModel, r0: float, psi1: float, r_max: float,
     reflected problem and negates the result, exactly as the fixed-point
     solver does, so the two methods stay comparable node by node.
     """
-    if not (np.isfinite(r0) and r0 >= 1.0):
-        raise DomainError(f"r0 must be finite and >= 1, got {r0!r}")
-    if not (np.isfinite(psi1) and psi1 != 0.0):
-        raise DomainError("psi1 must be finite and nonzero")
+    _check_start(r0, psi1)
     if not (np.isfinite(r_max) and r_max > r0):
         raise DomainError("r_max must exceed r0")
     if output_grid is None:
@@ -89,51 +91,9 @@ def rk_solve(model: VorticityModel, r0: float, psi1: float, r_max: float,
     h_init, h_min, h_max = control.resolved(r_max - r0)
     _require_valid(model, allow_unvalidated, validation)
 
-    reflect = psi1 < 0.0
-    u0 = r0 * abs(psi1)
-    nodes = output_grid.nodes
-    psi_out = np.empty_like(nodes)
-    u_out = np.empty_like(nodes)
-
-    n_acc, n_rej, h_last, status, r_at = _kernels.rk_core_python(
-        model.evaluate, u0, r_max, control.rel_tol, control.abs_tol,
-        h_init, h_min, h_max, nodes, psi_out, u_out)
-
-    if status == _kernels.RK_UNDERFLOW:
-        raise StepSizeUnderflowError(
-            f"step size fell below h_min = {h_min!r} at r = {r_at!r}", r_at)
-    if status == _kernels.RK_BUDGET:
-        raise NonConvergenceError(f"step budget exhausted at r = {r_at!r}")
-    if status == _kernels.RK_NONFINITE:
-        raise NonConvergenceError(f"state turned non-finite at r = {r_at!r}")
-
-    window_end = _window_end(nodes, psi_out, model.delta)
-    if reflect:
-        psi_out = -psi_out
-        u_out = -u_out
-    traj = Trajectory(grid=output_grid, psi=psi_out, u=u_out,
-                      window_end=window_end, method_tag="rk")
+    psi, u, n_acc, n_rej, h_last = _kernels.rk_core_python(
+        model.evaluate, r0 * abs(psi1), r_max, control.rel_tol, control.abs_tol,
+        h_init, h_min, h_max, output_grid.nodes)
     diag = RKDiagnostics(n_accepted=int(n_acc), n_rejected=int(n_rej), h_final=float(h_last),
                          rel_tol=control.rel_tol, abs_tol=control.abs_tol)
-    return traj, diag
-
-
-def convergence_order_probe(model: VorticityModel, r0: float, psi1: float, r_max: float,
-                            rel_tols) -> list[tuple[float, float]]:
-    """Errors of rk_solve at each tolerance against the tightest run.
-
-    rel_tols must contain at least two distinct values.  Returns
-    [(rel_tol, sup_error)] for every tolerance except the tightest, in
-    decreasing tolerance order.
-    """
-    tols = sorted(set(float(t) for t in rel_tols), reverse=True)
-    if len(tols) < 2:
-        raise DomainError("need at least two distinct tolerances")
-    grid = RadialGrid.uniform(r0, r_max, 129)
-    runs = {}
-    for t in tols:
-        ctrl = StepControl(rel_tol=t, abs_tol=t * 1.0e-6)
-        traj, _ = rk_solve(model, r0, psi1, r_max, control=ctrl, output_grid=grid)
-        runs[t] = traj.psi
-    ref = runs[tols[-1]]
-    return [(t, float(np.max(np.abs(runs[t] - ref)))) for t in tols[:-1]]
+    return _signed_trajectory(model, psi1, output_grid, psi, u, "rk"), diag

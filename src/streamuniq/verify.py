@@ -116,7 +116,7 @@ class AnalysisResult:
 def compute_r2(r0: float, psi1: float, holder_C: float) -> UniquenessWindow:
     """Certified window radius r2 = min(log cap, quadratic cap)."""
     if not (np.isfinite(r0) and r0 >= 1.0):
-        raise DomainError(f"r0 must be finite and >= 1, got {r0!r}")
+        raise DomainError(f"r0 must be finite and >= 1, got {float(r0)!r}")
     if not (np.isfinite(psi1) and psi1 > 0.0):
         raise DomainError("psi1 must be positive; reflect the problem first")
     if not (np.isfinite(holder_C) and holder_C > 0.0):
@@ -241,8 +241,9 @@ def contraction_probe(model: VorticityModel, traj_a: Trajectory, traj_b: Traject
     if bad.size:
         i = int(bad[0]) + 1
         raise ContractionViolationError(
-            f"weighted deviation {y[i]!r} exceeds contraction bound {bound[i]!r} "
-            f"at r = {nodes[i]!r}", float(nodes[i]), float(y[i] - bound[i]))
+            f"weighted deviation {float(y[i])!r} exceeds contraction bound "
+            f"{float(bound[i])!r} at r = {float(nodes[i])!r}",
+            float(nodes[i]), float(y[i] - bound[i]))
     y_star = float(y.max())
     if y_star == 0.0:
         return 0.0

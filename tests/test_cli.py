@@ -148,7 +148,7 @@ def test_verify_contraction_violation_exits_one(tmp_path, capsys, monkeypatch):
         "contraction: FAIL\n"
         "contraction violated at r = 1.25 (excess 3e-09)\n"
         "verdict = false\n")
-    assert os.listdir(out) == []
+    assert not out.exists()
 
 
 def test_verify_window_without_interior_node_exits_three(tmp_path, capsys):
@@ -161,7 +161,28 @@ def test_verify_window_without_interior_node_exits_three(tmp_path, capsys):
     assert captured.out == ""
     assert captured.err.startswith("solver failure: certification window contains "
                                    "no interior node")
-    assert os.listdir(out) == []
+    assert not out.exists()
+
+
+def test_integrate_step_underflow_prints_plain_floats(tmp_path, capsys):
+    cfgfile = tmp_path / "underflow.ini"
+    cfgfile.write_text("[solver]\nmethod = rk\nh_init = 0.05\nh_min = 0.05\nh_max = 0.05\n",
+                       encoding="utf-8")
+    out = tmp_path / "run"
+    assert main(["integrate", "--config", str(cfgfile), "--out", str(out)]) == 3
+    assert capsys.readouterr().err == (
+        "solver failure: step size fell below h_min = 0.05 at r = 1.0\n")
+    assert not out.exists()
+
+
+def test_integrate_window_collapse_prints_plain_floats(tmp_path, capsys):
+    out = tmp_path / "run"
+    assert main(["integrate", "--psi1", "50", "--nodes", "5", "--r-max", "3",
+                 "--out", str(out)]) == 3
+    assert capsys.readouterr().err == (
+        "solver failure: iterate left (0, 0.25] at the first interior node "
+        "r = 1.4239604536202384 (value 17.672102063502557); refine the grid near r0\n")
+    assert not out.exists()
 
 
 def test_integrate_rejecting_model_names_the_solvers_that_can_skip_the_check(tmp_path, capsys):

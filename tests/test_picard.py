@@ -131,6 +131,7 @@ def test_vorticity_overflow_is_non_convergence_at_either_call_site():
             picard_solve(model, 1.0, 1.0, grid, allow_unvalidated=True)
         assert err.value.diagnostics.iterations == finite_evals
         assert len(err.value.diagnostics.weighted_deltas) == finite_evals
+        assert err.value.diagnostics.converged is False
 
 
 @pytest.mark.parametrize("kwargs", [

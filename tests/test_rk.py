@@ -3,14 +3,16 @@ import pytest
 
 from streamuniq import (DomainError, ModelValidationError, NonConvergenceError,
                         RadialGrid, StepControl, StepSizeUnderflowError,
-                        VorticityModel, convergence_order_probe, picard_solve,
-                        rk_solve, zero_vorticity)
+                        VorticityModel, picard_solve, rk_solve, zero_vorticity)
 from streamuniq import _kernels
 from streamuniq._kernels import (
     _A21, _A31, _A32, _A41, _A42, _A43, _A51, _A52, _A53, _A54, _A61, _A62, _A63, _A64, _A65,
     _B1, _B3, _B4, _B5, _B6, _BETA, _C2, _C3, _C4, _C5, _E1, _E3, _E4, _E5, _E6, _E7, _EXPO1,
     _FACC1, _FACC2, _P11, _P12, _P13, _P14, _P32, _P33, _P34, _P42, _P43, _P44, _P52, _P53,
-    _P54, _P62, _P63, _P64, _P72, _P73, _P74, _SAFETY, RK_NONFINITE, RK_OK, RK_UNDERFLOW)
+    _P54, _P62, _P63, _P64, _P72, _P73, _P74, _SAFETY)
+
+# outcomes of the reference core, which reports a stall instead of raising
+_OK, _UNDERFLOW, _NONFINITE = "ok", "underflow", "non-finite"
 
 
 def _reference_rk_core(f, u0, r_max, rtol, atol, h_init, h_min, h_max, nodes_out,
@@ -31,7 +33,7 @@ def _reference_rk_core(f, u0, r_max, rtol, atol, h_init, h_min, h_max, nodes_out
     n_acc = 0
     n_rej = 0
     rejected = False
-    status = RK_OK
+    status = _OK
     while idx < n_out:
         if h > h_max:
             h = h_max
@@ -40,7 +42,7 @@ def _reference_rk_core(f, u0, r_max, rtol, atol, h_init, h_min, h_max, nodes_out
             h = r_max - t
             last = True
         elif h < h_min or t + h <= t:
-            status = RK_UNDERFLOW
+            status = _UNDERFLOW
             break
 
         s2 = t + _C2 * h
@@ -76,7 +78,7 @@ def _reference_rk_core(f, u0, r_max, rtol, atol, h_init, h_min, h_max, nodes_out
         ep = h * (_E1 * kp1 + _E3 * kp3 + _E4 * kp4 + _E5 * kp5 + _E6 * kp6 + _E7 * kp7)
         eu = h * (_E1 * ku1 + _E3 * ku3 + _E4 * ku4 + _E5 * ku5 + _E6 * ku6 + _E7 * ku7)
         if not (np.isfinite(pn) and np.isfinite(un) and np.isfinite(ep) and np.isfinite(eu)):
-            status = RK_NONFINITE
+            status = _NONFINITE
             break
 
         scp = atol + rtol * max(abs(p), abs(pn))
@@ -166,6 +168,7 @@ def test_reflection_is_exact(classical_model, fine_grid, rk_run):
     neg, _ = rk_solve(classical_model, 1.0, -1.0, 1.5, output_grid=fine_grid)
     assert np.array_equal(neg.psi, -traj.psi)
     assert np.array_equal(neg.u, -traj.u)
+    assert neg.window_end == traj.window_end
 
 
 def test_zero_vorticity_closed_form():
@@ -191,13 +194,16 @@ def test_custom_law_matches_builtin(classical_model, fine_grid, rk_run):
 
 
 def test_tighter_tolerance_reduces_error(classical_model):
-    probe = convergence_order_probe(classical_model, 1.0, 1.0, 1.5, [1e-6, 1e-8, 1e-10])
-    assert [t for t, _ in probe] == [1e-6, 1e-8]
-    errs = [e for _, e in probe]
+    grid = RadialGrid.uniform(1.0, 1.5, 129)
+    psi = []
+    for tol in (1e-6, 1e-8, 1e-10):
+        traj, _ = rk_solve(classical_model, 1.0, 1.0, 1.5,
+                           control=StepControl(rel_tol=tol, abs_tol=tol * 1.0e-6),
+                           output_grid=grid)
+        psi.append(traj.psi)
+    errs = [float(np.max(np.abs(p - psi[-1]))) for p in psi[:-1]]
     assert errs[0] > errs[1]
     assert errs[0] < 1e-6
-    with pytest.raises(DomainError):
-        convergence_order_probe(classical_model, 1.0, 1.0, 1.5, [1e-8])
 
 
 def test_step_size_underflow(classical_model):
@@ -205,6 +211,22 @@ def test_step_size_underflow(classical_model):
     with pytest.raises(StepSizeUnderflowError) as err:
         rk_solve(classical_model, 1.0, 1.0, 1.5, control=control)
     assert err.value.r_at == 1.0
+    assert type(err.value.r_at) is float
+
+
+def test_non_finite_state():
+    calls = []
+
+    def law(p):
+        calls.append(p)
+        if len(calls) > 20:
+            return np.inf
+        return p - p / np.sqrt(abs(p)) if p != 0.0 else 0.0
+
+    model = VorticityModel.custom(law, holder_C=1.0)
+    with (np.errstate(invalid="ignore"),
+          pytest.raises(NonConvergenceError, match=r"^state turned non-finite at r = [0-9.e+-]+$")):
+        rk_solve(model, 1.0, 1.0, 1.5, allow_unvalidated=True)
 
 
 def test_step_budget_exhaustion(classical_model, monkeypatch):
@@ -227,8 +249,8 @@ def test_control_validation():
 
 
 def test_argument_validation(classical_model):
-    with pytest.raises(DomainError):
-        rk_solve(classical_model, 0.5, 1.0, 2.0)
+    with pytest.raises(DomainError, match=r"^r0 must be finite and >= 1, got 0\.5$"):
+        rk_solve(classical_model, np.float64(0.5), 1.0, 2.0)
     with pytest.raises(DomainError):
         rk_solve(classical_model, 1.0, 0.0, 2.0)
     with pytest.raises(DomainError):
@@ -261,7 +283,7 @@ def test_dense_fill_matches_per_node_reference(classical_model, oscillatory_mode
     n_acc, n_rej, h_last, status = _reference_rk_core(
         model.evaluate, grid.r0 * abs(psi1), grid.r_max, 1.0e-10, 1.0e-16,
         h_init, h_min, h_max, grid.nodes, psi, u)
-    assert status == RK_OK
+    assert status == _OK
     assert (diag.n_accepted, diag.n_rejected, diag.h_final) == (n_acc, n_rej, h_last)
     sign = np.sign(psi1)
     assert np.array_equal(traj.psi, sign * psi)

@@ -1,0 +1,158 @@
+"""sha256 digests of what the solvers and the command line produce.
+
+    python tools/digests.py TREE OUT.json
+
+TREE is a checkout of this repository.  The script imports ``streamuniq``
+from TREE/src and the seeded benchmark cases from TREE/perfbench, then
+digests:
+
+- the 256 cert-batch analyses (seeds 0 and 1): Picard and RK ``psi``/``u``,
+  the report, the deviation trace, the Picard deltas, the RK diagnostics and
+  the window, or the error an analysis raised;
+- the ``continuity_sweep`` rows of 8 sweep-fine cases;
+- the error ``rk_solve`` raises when the step size underflows;
+- stdout, stderr, exit code and every artifact of a fixed set of
+  ``python -m streamuniq`` command lines, each run in a fresh directory.
+
+OUT.json holds one digest per line, so two trees compare with ``cmp`` and
+``diff`` names the items that differ.  Needs only the standard library and
+numpy; a full run, the 1048577-node ``verify`` included, takes about half a
+minute on a 2-core machine.
+"""
+
+from __future__ import annotations
+
+import hashlib
+import json
+import os
+import subprocess
+import sys
+import tempfile
+
+
+def sha(data) -> str:
+    if isinstance(data, str):
+        data = data.encode("utf-8")
+    return hashlib.sha256(data).hexdigest()
+
+
+def error_text(exc: BaseException) -> str:
+    return f"{type(exc).__name__}: {exc}"
+
+
+def cert_digests(out: dict) -> None:
+    from perfbench.workloads import build_models, make_case
+    from streamuniq import StreamuniqError
+    from streamuniq.verify import run_uniqueness_analysis
+
+    models = build_models("cert-batch")
+    for seed in (0, 1):
+        for i in range(128):
+            case = make_case("cert-batch", seed, i)
+            key = f"cert/{seed}/{i:03d}"
+            try:
+                res = run_uniqueness_analysis(models[case.model], r0=case.r0, psi1=case.psi1)
+            except StreamuniqError as exc:
+                out[key + "/error"] = sha(error_text(exc))
+                continue
+            rep, dp, drk = res.report, res.picard_diagnostics, res.rk_diagnostics
+            out[key + "/picard_psi"] = sha(res.traj_picard.psi.tobytes())
+            out[key + "/picard_u"] = sha(res.traj_picard.u.tobytes())
+            out[key + "/rk_psi"] = sha(res.traj_rk.psi.tobytes())
+            out[key + "/rk_u"] = sha(res.traj_rk.u.tobytes())
+            out[key + "/report"] = sha(repr(rep.as_dict()))
+            out[key + "/trace"] = sha(repr(rep.deviation_limit_trace))
+            out[key + "/picard_deltas"] = sha(repr((dp.iterations, dp.converged,
+                                                    dp.weighted_deltas)))
+            out[key + "/rk_diagnostics"] = sha(repr(drk))
+            out[key + "/window"] = sha(repr((res.window, res.traj_picard.window_end,
+                                             res.traj_rk.window_end)))
+
+
+def sweep_digests(out: dict) -> None:
+    from perfbench.workloads import build_models, make_case, sweep_op, sweep_prepare
+
+    models = build_models("sweep-fine")
+    for i in range(8):
+        case = make_case("sweep-fine", 0, i)
+        rows = sweep_op(models, case, sweep_prepare(case))
+        out[f"sweep/{i}"] = sha(repr([(float(d), float(s)) for d, s in rows]))
+
+
+def underflow_digest(out: dict) -> None:
+    from streamuniq import StepControl, StepSizeUnderflowError, VorticityModel, rk_solve
+
+    control = StepControl(h_init=0.05, h_min=0.05, h_max=0.05)
+    try:
+        rk_solve(VorticityModel.classical(), 1.0, 1.0, 1.5, control=control)
+    except StepSizeUnderflowError as exc:
+        out["api/underflow"] = sha(repr((error_text(exc), exc.r_at)))
+    else:
+        out["api/underflow"] = "no error"
+
+
+ZERO_INI = ("[model]\nkind = custom\npath = streamuniq.vorticity:zero_vorticity\n"
+            "holder_c = 1.0\n")
+UNDERFLOW_INI = "[solver]\nmethod = rk\nh_init = 0.05\nh_min = 0.05\nh_max = 0.05\n"
+
+# (name, argv after "python -m streamuniq", config text or None); a config is
+# written to run.ini in the run directory and passed with --config
+COMMANDS = (
+    ("verify", ["verify"], None),
+    ("verify-4097-neg", ["verify", "--nodes", "4097", "--psi1", "-0.7"], None),
+    ("verify-oscillatory-neg", ["verify", "--model", "oscillatory", "--psi1", "-1.3"], None),
+    ("verify-zero", ["verify"], ZERO_INI),
+    ("verify-1m", ["verify", "--nodes", "1048577", "--r-max", "1.5"], None),
+    ("integrate-picard-pos", ["integrate", "--method", "picard", "--psi1", "0.8"], None),
+    ("integrate-picard-neg", ["integrate", "--method", "picard", "--psi1", "-0.8"], None),
+    ("integrate-rk-pos", ["integrate", "--method", "rk", "--psi1", "0.8"], None),
+    ("integrate-rk-neg", ["integrate", "--method", "rk", "--psi1", "-0.8"], None),
+    ("integrate-rk-underflow", ["integrate"], UNDERFLOW_INI),
+    ("integrate-window-collapse",
+     ["integrate", "--psi1", "50", "--nodes", "5", "--r-max", "3"], None),
+    ("sweep", ["sweep"], None),
+)
+
+
+def cli_digests(out: dict, tree: str) -> None:
+    env = dict(os.environ, PYTHONPATH=os.path.join(tree, "src"))
+    for name, argv, ini in COMMANDS:
+        with tempfile.TemporaryDirectory() as run_dir:
+            if ini is not None:
+                with open(os.path.join(run_dir, "run.ini"), "w", encoding="utf-8") as fh:
+                    fh.write(ini)
+                argv = argv + ["--config", "run.ini"]
+            proc = subprocess.run([sys.executable, "-m", "streamuniq", *argv], cwd=run_dir,
+                                  env=env, capture_output=True, check=False)
+            key = f"cli/{name}"
+            out[key + "/exit"] = str(proc.returncode)
+            out[key + "/stdout"] = sha(proc.stdout)
+            out[key + "/stderr"] = sha(proc.stderr)
+            out_dir = os.path.join(run_dir, "out")
+            out[key + "/out"] = (" ".join(sorted(os.listdir(out_dir)))
+                                 if os.path.isdir(out_dir) else "absent")
+            if os.path.isdir(out_dir):
+                for artifact in sorted(os.listdir(out_dir)):
+                    with open(os.path.join(out_dir, artifact), "rb") as fh:
+                        out[f"{key}/{artifact}"] = sha(fh.read())
+
+
+def main(argv: list[str]) -> int:
+    if len(argv) != 2:
+        print("usage: " + __doc__.strip().splitlines()[2].strip(), file=sys.stderr)
+        return 2
+    tree, out_path = os.path.abspath(argv[0]), argv[1]
+    sys.path[:0] = [os.path.join(tree, "src"), tree]
+    out: dict = {}
+    cert_digests(out)
+    sweep_digests(out)
+    underflow_digest(out)
+    cli_digests(out, tree)
+    with open(out_path, "w", encoding="utf-8") as fh:
+        json.dump(out, fh, indent=0, sort_keys=True)
+        fh.write("\n")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))
