@@ -149,6 +149,9 @@ _FACC2 = 0.1  # hnew <= 10*h
 _MAX_STEPS = 10_000_000
 
 
+# the loop tests the state for finiteness itself, so an overflowing law ends
+# in NonConvergenceError without numpy warnings on stderr
+@np.errstate(all="ignore")
 def rk_core(f, u0, r_max, rtol, atol, h_init, h_min, h_max, nodes_out):
     """Integrate psi' = u/r, u' = -r*f(psi) from (nodes_out[0], 0, u0).
 

@@ -18,6 +18,7 @@ from dataclasses import fields
 import numpy as np
 
 from . import config as cfgmod
+from ._csvtext import format_table
 from .errors import (ConfigError, ContractionViolationError, DomainError,
                      ModelValidationError, NonConvergenceError, StepSizeUnderflowError,
                      StreamuniqError, WindowCollapseError)
@@ -41,7 +42,8 @@ def _fmt(x) -> str:
     return str(x)
 
 
-CSV_BLOCK_ROWS = 65536
+# rows per format_table call; a block's cells (44 bytes a value) stay in cache
+CSV_BLOCK_ROWS = 4096
 # characters handed to the file per write; the text is encoded one slice at a
 # time, never as one bytes copy of the whole artifact
 WRITE_SLICE_CHARS = 1 << 20
@@ -63,16 +65,15 @@ def write_atomic(path: str, text: str) -> None:
 def write_csv(path: str, header: str, columns) -> None:
     """Write equal-length columns of floats, one %.17g row per index.
 
-    Rows are formatted CSV_BLOCK_ROWS at a time, so the Python floats of
-    only one block exist next to the text being built; the blocks are
+    Rows are formatted CSV_BLOCK_ROWS at a time by ``_csvtext.format_table``,
+    so only one block of the columns is stacked at a time; the blocks are
     dropped once joined, before the text is written.
     """
     columns = [np.asarray(c, dtype=np.float64) for c in columns]
-    row = ",".join(["{:.17g}"] * len(columns)) + "\n"
     parts = [header + "\n"]
     for start in range(0, columns[0].size, CSV_BLOCK_ROWS):
-        block = [c[start:start + CSV_BLOCK_ROWS].tolist() for c in columns]
-        parts.append("".join(map(row.format, *block)))
+        block = np.column_stack([c[start:start + CSV_BLOCK_ROWS] for c in columns])
+        parts.append(format_table(block).decode("ascii"))
     text = "".join(parts)
     del parts
     write_atomic(path, text)

@@ -26,10 +26,9 @@ class RadialGrid:
         nodes = np.ascontiguousarray(nodes, dtype=np.float64)
         if nodes.ndim != 1 or nodes.size < 2:
             raise DomainError("a grid needs at least two nodes")
+        check_r0(nodes[0])
         if not np.all(np.isfinite(nodes)):
             raise DomainError("grid nodes must be finite")
-        if nodes[0] < 1.0:
-            raise DomainError(f"r0 must be >= 1, got {float(nodes[0])!r}")
         if not np.all(np.diff(nodes) > 0.0):
             raise DomainError("grid nodes must increase strictly")
         self.nodes = nodes
@@ -108,11 +107,16 @@ class RadialGrid:
                 f"r_max={self.r_max!r}, ratio={self.ratio!r})")
 
 
+def check_r0(r0: float) -> None:
+    """The left endpoint rule of the whole package: finite and >= 1."""
+    if not (np.isfinite(r0) and r0 >= 1.0):
+        raise DomainError(f"r0 must be finite and >= 1, got {float(r0)!r}")
+
+
 def _check_span(r0: float, r_max: float, n: int) -> None:
-    if not (np.isfinite(r0) and np.isfinite(r_max)):
+    check_r0(r0)
+    if not np.isfinite(r_max):
         raise DomainError("grid bounds must be finite")
-    if r0 < 1.0:
-        raise DomainError(f"r0 must be >= 1, got {float(r0)!r}")
     if r_max <= r0:
         raise DomainError("r_max must exceed r0")
     if n < 2:

@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DomainError, ModelValidationError, NonConvergenceError, WindowCollapseError
-from .grids import RadialGrid
+from .grids import RadialGrid, check_r0
 from .quadrature import kernel_prefix
 from .vorticity import HypothesisReport, VorticityModel, validate_hypotheses
 
@@ -95,8 +95,7 @@ def _window_end(nodes: np.ndarray, psi: np.ndarray, delta: float) -> float:
 
 
 def _check_start(r0: float, psi1: float) -> None:
-    if not (np.isfinite(r0) and r0 >= 1.0):
-        raise DomainError(f"r0 must be finite and >= 1, got {float(r0)!r}")
+    check_r0(r0)
     if not (np.isfinite(psi1) and psi1 != 0.0):
         raise DomainError("psi1 must be finite and nonzero")
 

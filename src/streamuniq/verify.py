@@ -28,7 +28,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .errors import ContractionViolationError, DomainError, WindowCollapseError
-from .grids import RadialGrid
+from .grids import RadialGrid, check_r0
 from .picard import (PicardDiagnostics, Trajectory, picard_solve, residual, weighted_norm)
 from .rk import RKDiagnostics, StepControl, rk_solve
 from .vorticity import HypothesisReport, VorticityModel, validate_hypotheses
@@ -115,8 +115,7 @@ class AnalysisResult:
 
 def compute_r2(r0: float, psi1: float, holder_C: float) -> UniquenessWindow:
     """Certified window radius r2 = min(log cap, quadratic cap)."""
-    if not (np.isfinite(r0) and r0 >= 1.0):
-        raise DomainError(f"r0 must be finite and >= 1, got {float(r0)!r}")
+    check_r0(r0)
     if not (np.isfinite(psi1) and psi1 > 0.0):
         raise DomainError("psi1 must be positive; reflect the problem first")
     if not (np.isfinite(holder_C) and holder_C > 0.0):

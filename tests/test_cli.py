@@ -4,11 +4,14 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import streamuniq
 import streamuniq.verify
 from streamuniq import (ContractionViolationError, RadialGrid, VorticityModel, continuity_sweep,
                         run_uniqueness_analysis)
+from streamuniq._csvtext import format_table
 from streamuniq.cli import (CSV_BLOCK_ROWS, WRITE_SLICE_CHARS, _load, build_parser, main,
                             write_atomic, write_csv)
 from streamuniq.config import load_config
@@ -267,6 +270,98 @@ def test_write_csv_matches_per_value_reference(tmp_path):
     assert _read(path) == "a\n"
 
 
+def _percent_17g(table):
+    return "".join(",".join("%.17g" % x for x in row) + "\n"
+                   for row in np.asarray(table).tolist()).encode()
+
+
+def _as_table(values, ncols):
+    values = np.asarray(values, dtype=np.float64)
+    return np.resize(values, (-(-values.size // ncols), ncols))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.integers(0, 2 ** 64 - 1), min_size=1, max_size=40),
+       st.integers(-40, 60), st.integers(1, 4))
+def test_format_table_is_percent_17g_on_raw_bit_patterns(bits, binade, ncols):
+    values = np.array(bits, dtype=np.uint64).view(np.float64)
+    assert format_table(_as_table(values, ncols)) == _percent_17g(_as_table(values, ncols))
+    # the same significands and signs moved into the range the digits come from numpy
+    with np.errstate(over="ignore"):
+        moved = np.ldexp(np.frexp(values)[0], binade)
+    assert format_table(_as_table(moved, ncols)) == _percent_17g(_as_table(moved, ncols))
+
+
+def test_format_table_is_percent_17g_on_many_values():
+    rng = np.random.default_rng(11)
+    bits = rng.integers(0, 2 ** 64 - 1, 60000, dtype=np.uint64, endpoint=True)
+    scaled = (rng.uniform(1.0, 10.0, 60000) * 10.0 ** rng.integers(-13, 19, 60000)
+              * rng.choice([-1.0, 1.0], 60000))
+    for values in (bits.view(np.float64), scaled):
+        for ncols in (1, 3):
+            table = _as_table(values, ncols)
+            assert format_table(table) == _percent_17g(table)
+
+
+def test_format_table_near_ties():
+    # an odd m < 2^53 over 2^j is exact, and when m * 5^j has 18 digits its
+    # decimal ends in a 5 exactly halfway between two 17-digit strings
+    # (e = 17 - j, from 15 to -8); the nearest doubles to random 18-digit
+    # decimals ending in 5, and all their neighbours, land on either side
+    rng = np.random.default_rng(12)
+    values = []
+    for j in range(2, 26):
+        lo, hi = -(-10 ** 17 // 5 ** j), min(10 ** 18 // 5 ** j, 2 ** 53)
+        values += [(m | 1) / 2 ** j for m in rng.integers(lo, hi, 8).tolist()]
+    for exponent in range(-14, 19):
+        values += [float(f"{digits}5e{exponent - 17}")
+                   for digits in rng.integers(10 ** 16, 10 ** 17, 8).tolist()]
+    values += [0.5, 2.5, 1.25e-5, 0.30000000000000004]
+    values = np.array(values)
+    values = np.concatenate([values, np.nextafter(values, 0.0), np.nextafter(values, np.inf)])
+    values = np.concatenate([values, -values])
+    for ncols in (1, 2, 3):
+        table = _as_table(values, ncols)
+        assert format_table(table) == _percent_17g(table)
+
+
+def test_format_table_boundaries():
+    edges = [1e16, 1e17, 1e-4, 1e-5, 1e99, 1e100, 1e-99, 1e-100,
+             # k = 16 - e is 27 and 28 at e = -11 and e = -12
+             1e-11, 1e-12, 9.99e-12, 9.99e-13,
+             5e-324, 2.2250738585072014e-308, 2.2250738585072009e-308, 1.7976931348623157e308,
+             1.0, 10.0, 100.0, 1200.0, 1e15 + 10, 12345678901234567.0, 0.1, 0.0001234]
+    values = [0.0, -0.0, np.nan, np.inf, -np.inf]
+    for x in edges:
+        with np.errstate(over="ignore"):
+            near = (x, np.nextafter(x, 0.0), np.nextafter(x, np.inf))
+        values += [sign * y for y in near for sign in (1.0, -1.0)]
+    for ncols in (1, 2, 3, 5):
+        table = _as_table(values, ncols)
+        assert format_table(table) == _percent_17g(table)
+    assert (format_table(np.array([[1e-5, -1e16, 1e17, -0.0]]))
+            == b"1.0000000000000001e-05,-10000000000000000,1e+17,-0\n")
+    assert format_table(np.array([[1e-4], [np.nan], [-np.inf]])) == b"0.0001\nnan\n-inf\n"
+
+
+def test_format_table_takes_most_trajectory_values_from_numpy(monkeypatch):
+    slow = []
+    monkeypatch.setattr("streamuniq._csvtext.format",
+                        lambda x, spec: slow.append(x) or format(x, spec), raising=False)
+    r = np.linspace(1.0, 1.5, 4097)
+    table = np.column_stack([r, np.log(r), -1.0 / r])
+    assert format_table(table) == _percent_17g(table)
+    assert 0 < len(slow) < 0.03 * table.size
+
+
+def test_format_table_without_a_64_bit_long_double(monkeypatch):
+    values = [0.1, -2.5, 1e-5, 123.0, 1e300, 0.0, np.nan, 1.0000000000000002]
+    table = _as_table(values, 2)
+    fast = format_table(table)
+    monkeypatch.setattr("streamuniq._csvtext.EXACT_LONG_DOUBLE", False)
+    assert format_table(table) == fast == _percent_17g(table)
+
+
 @pytest.mark.parametrize("length", [0, 1, WRITE_SLICE_CHARS - 1, WRITE_SLICE_CHARS,
                                     WRITE_SLICE_CHARS + 1])
 def test_write_atomic_slices_give_the_bytes_of_one_write(tmp_path, length):
@@ -363,6 +458,52 @@ def test_rk_underflow_exits_three(tmp_path, capsys):
                  "--out", str(tmp_path / "x")])
     assert code == 3
     assert "solver failure" in capsys.readouterr().err
+
+
+LAWS = """
+import math
+
+
+def finite_on_band(psi):
+    # the classical law, finite on [-0.3, 0.3] and inf beyond
+    if abs(psi) > 0.3:
+        return math.inf
+    return psi - psi / math.sqrt(abs(psi)) if psi != 0.0 else 0.0
+
+
+def infinite_near_zero(psi):
+    if 0.0 < abs(psi) < 1e-3:
+        return math.inf
+    return psi - psi / math.sqrt(abs(psi)) if psi != 0.0 else 0.0
+"""
+
+
+def _run_with_law(tmp_path, argv, law):
+    (tmp_path / "laws.py").write_text(LAWS, encoding="utf-8")
+    (tmp_path / "run.ini").write_text(
+        f"[model]\nkind = custom\npath = laws:{law}\nholder_c = 2.0\n", encoding="utf-8")
+    src = os.path.dirname(os.path.dirname(streamuniq.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, str(tmp_path)]))
+    env.pop("PYTHONWARNINGS", None)
+    return subprocess.run([sys.executable, "-m", "streamuniq", *argv, "--config", "run.ini"],
+                          cwd=tmp_path, capture_output=True, text=True, env=env)
+
+
+def test_law_overflowing_beyond_the_band_prints_only_the_solver_failure(tmp_path):
+    proc = _run_with_law(tmp_path, ["integrate", "--method", "rk"], "finite_on_band")
+    assert proc.returncode == 3
+    assert proc.stdout == ""
+    assert proc.stderr == "solver failure: state turned non-finite at r = 1.3233539556477727\n"
+
+
+def test_law_not_finite_on_the_band_prints_only_the_validation_error(tmp_path):
+    proc = _run_with_law(tmp_path, ["integrate"], "infinite_near_zero")
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert proc.stderr == (
+        "error: model failed hypothesis validation (sign_margin=-inf, holder_sup=0.0, "
+        "holder_C=2.0); only picard_solve and rk_solve can skip this check, "
+        "with allow_unvalidated=True\n")
 
 
 def test_module_entrypoint_runs():

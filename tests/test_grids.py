@@ -3,7 +3,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from streamuniq import DomainError, RadialGrid
+from streamuniq import DomainError, RadialGrid, VorticityModel, compute_r2, picard_solve, rk_solve
+from streamuniq.cli import main
 
 
 def test_uniform_basic():
@@ -89,6 +90,28 @@ def test_invalid_factory_arguments(ctor_kwargs):
         RadialGrid.uniform(**ctor_kwargs)
     with pytest.raises(DomainError):
         RadialGrid.geometric(**ctor_kwargs)
+
+
+@pytest.mark.parametrize("r0", [0.5, np.nan, -np.inf])
+def test_one_r0_rule_and_message_everywhere(r0, tmp_path, capsys):
+    message = f"r0 must be finite and >= 1, got {float(r0)!r}"
+    model = VorticityModel.classical()
+    grid = RadialGrid.uniform(1.0, 2.0, 9)
+    calls = [
+        lambda: RadialGrid(np.array([r0, 2.0])),
+        lambda: RadialGrid.uniform(r0, 2.0, 9),
+        lambda: RadialGrid.geometric(r0, 2.0, 9),
+        lambda: picard_solve(model, r0, 1.0, grid),
+        lambda: rk_solve(model, r0, 1.0, 2.0),
+        lambda: compute_r2(r0, 1.0, model.holder_C),
+    ]
+    for call in calls:
+        with pytest.raises(DomainError) as err:
+            call()
+        assert str(err.value) == message
+    if r0 == 0.5:
+        assert main(["integrate", "--r0", "0.5", "--out", str(tmp_path / "x")]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
 
 
 def test_geometric_invalid_ratio():

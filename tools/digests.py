@@ -16,8 +16,10 @@ digests:
 
 OUT.json holds one digest per line, so two trees compare with ``cmp`` and
 ``diff`` names the items that differ.  Needs only the standard library and
-numpy; a full run, the 1048577-node ``verify`` included, takes about half a
-minute on a 2-core machine.
+numpy.  A full run takes 30-40 s on a 2-core machine, most of it in the two
+1048577-node ``verify`` runs: ``verify-1m`` (classical, positive values only)
+and ``verify-1m-oscillatory-neg`` (``psi1 = -1.3``, whose CSVs add ``-0``,
+negative values and exponent-form values at 1M rows).
 """
 
 from __future__ import annotations
@@ -103,6 +105,8 @@ COMMANDS = (
     ("verify-oscillatory-neg", ["verify", "--model", "oscillatory", "--psi1", "-1.3"], None),
     ("verify-zero", ["verify"], ZERO_INI),
     ("verify-1m", ["verify", "--nodes", "1048577", "--r-max", "1.5"], None),
+    ("verify-1m-oscillatory-neg", ["verify", "--model", "oscillatory", "--psi1", "-1.3",
+                                   "--nodes", "1048577", "--r-max", "1.5"], None),
     ("integrate-picard-pos", ["integrate", "--method", "picard", "--psi1", "0.8"], None),
     ("integrate-picard-neg", ["integrate", "--method", "picard", "--psi1", "-0.8"], None),
     ("integrate-rk-pos", ["integrate", "--method", "rk", "--psi1", "0.8"], None),
