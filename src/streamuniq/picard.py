@@ -94,10 +94,15 @@ def _window_end(nodes: np.ndarray, psi: np.ndarray, delta: float) -> float:
     return float(nodes[exits[0]])  # last node still inside is one before the exit
 
 
-def _check_start(r0: float, psi1: float) -> None:
-    check_r0(r0)
+def check_psi1(psi1: float) -> None:
+    """The one psi1 rule of both solvers and the certificate: finite and nonzero."""
     if not (np.isfinite(psi1) and psi1 != 0.0):
         raise DomainError("psi1 must be finite and nonzero")
+
+
+def _check_start(r0: float, psi1: float) -> None:
+    check_r0(r0)
+    check_psi1(psi1)
 
 
 def _signed_trajectory(model: VorticityModel, psi1: float, grid: RadialGrid,

@@ -23,13 +23,14 @@ depends on which solver produced them beyond a shared grid.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
 from .errors import ContractionViolationError, DomainError, WindowCollapseError
 from .grids import RadialGrid, check_r0
-from .picard import (PicardDiagnostics, Trajectory, picard_solve, residual, weighted_norm)
+from .picard import (PicardDiagnostics, Trajectory, check_psi1, picard_solve, residual,
+                     weighted_norm)
 from .rk import RKDiagnostics, StepControl, rk_solve
 from .vorticity import HypothesisReport, VorticityModel, validate_hypotheses
 
@@ -87,17 +88,11 @@ class UniquenessReport:
         return all(passed for _, passed in self.checks)
 
     def as_dict(self) -> dict:
-        return {
-            "r2": self.r2,
-            "binding_constraint": self.binding_constraint,
-            "window_end_effective": self.window_end_effective,
-            "lower_bound_margin": self.lower_bound_margin,
-            "contraction_ratio": self.contraction_ratio,
-            "probe_ratio": self.probe_ratio,
-            "cross_method_weighted_sup": self.cross_method_weighted_sup,
-            "slack_budget": self.slack_budget,
-            "verdict": self.verdict,
-        }
+        """The scalar fields in declaration order, then the verdict."""
+        out = {f.name: getattr(self, f.name) for f in fields(self)
+               if f.name not in ("deviation_limit_trace", "checks")}
+        out["verdict"] = self.verdict
+        return out
 
 
 @dataclass
@@ -267,8 +262,7 @@ def window_restricted_delta_ratios(diagnostics: PicardDiagnostics, grid: RadialG
 
 def default_r_max(model: VorticityModel, r0: float, psi1: float) -> float:
     """Right endpoint used when none is given: r0 + 1.25*(r2 - r0)."""
-    if not (np.isfinite(psi1) and psi1 != 0.0):
-        raise DomainError("psi1 must be finite and nonzero")
+    check_psi1(psi1)
     r2 = compute_r2(r0, abs(psi1), model.holder_C).r2
     return r0 + 1.25 * (r2 - r0)
 
@@ -292,8 +286,7 @@ def run_uniqueness_analysis(model: VorticityModel, r0: float = 1.0, psi1: float 
     isolates the product-integration error).  Without a grid, one of 2049
     geometric nodes spans [r0, r_max]; a grid given with r_max must end there.
     """
-    if not (np.isfinite(psi1) and psi1 != 0.0):
-        raise DomainError("psi1 must be finite and nonzero")
+    check_psi1(psi1)
     _require_grid_end(grid, r_max)
     hypothesis = validate_hypotheses(model)
     window0 = compute_r2(r0, abs(psi1), model.holder_C)

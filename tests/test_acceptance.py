@@ -11,11 +11,12 @@ import math
 import numpy as np
 import pytest
 
-from streamuniq import (OSCILLATORY_C2_BOUND, ModelValidationError, RadialGrid,
-                        StepControl, VorticityModel, continuity_sweep,
-                        kernel_integral_all, picard_solve, rk_solve, trace_is_monotone,
-                        validate_hypotheses, validate_oscillatory_constants,
-                        window_restricted_delta_ratios, zero_vorticity)
+from streamuniq import (ModelValidationError, RadialGrid, StepControl, VorticityModel,
+                        continuity_sweep, kernel_integral_all, picard_solve, rk_solve,
+                        validate_hypotheses)
+from streamuniq.verify import trace_is_monotone, window_restricted_delta_ratios
+from streamuniq.vorticity import (OSCILLATORY_C2_BOUND, validate_oscillatory_constants,
+                                  zero_vorticity)
 
 SQRT2 = 1.4142135623730951
 I_CONST = 0.40342640972002736   # int_1^2 tau*log(2/tau) dtau

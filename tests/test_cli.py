@@ -501,7 +501,7 @@ def test_law_not_finite_on_the_band_prints_only_the_validation_error(tmp_path):
     assert proc.returncode == 2
     assert proc.stdout == ""
     assert proc.stderr == (
-        "error: model failed hypothesis validation (sign_margin=-inf, holder_sup=0.0, "
+        "error: model failed hypothesis validation (sign_margin=-inf, holder_sup=nan, "
         "holder_C=2.0); only picard_solve and rk_solve can skip this check, "
         "with allow_unvalidated=True\n")
 

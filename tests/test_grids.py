@@ -3,8 +3,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from streamuniq import DomainError, RadialGrid, VorticityModel, compute_r2, picard_solve, rk_solve
+from streamuniq import DomainError, RadialGrid, VorticityModel, picard_solve, rk_solve
 from streamuniq.cli import main
+from streamuniq.verify import compute_r2
 
 
 def test_uniform_basic():

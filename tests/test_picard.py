@@ -1,10 +1,10 @@
 import numpy as np
 import pytest
 
-from streamuniq import (DomainError, HypothesisReport, ModelValidationError,
-                        NonConvergenceError, RadialGrid, VorticityModel,
-                        WindowCollapseError, picard_solve, residual, weighted_norm,
-                        zero_vorticity)
+from streamuniq import (DomainError, ModelValidationError, NonConvergenceError, RadialGrid,
+                        VorticityModel, WindowCollapseError, picard_solve, weighted_norm)
+from streamuniq.picard import residual
+from streamuniq.vorticity import HypothesisReport, zero_vorticity
 
 
 @pytest.fixture(scope="module")

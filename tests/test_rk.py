@@ -3,13 +3,14 @@ import pytest
 
 from streamuniq import (DomainError, ModelValidationError, NonConvergenceError,
                         RadialGrid, StepControl, StepSizeUnderflowError,
-                        VorticityModel, picard_solve, rk_solve, zero_vorticity)
+                        VorticityModel, picard_solve, rk_solve)
 from streamuniq import _kernels
 from streamuniq._kernels import (
     _A21, _A31, _A32, _A41, _A42, _A43, _A51, _A52, _A53, _A54, _A61, _A62, _A63, _A64, _A65,
     _B1, _B3, _B4, _B5, _B6, _BETA, _C2, _C3, _C4, _C5, _E1, _E3, _E4, _E5, _E6, _E7, _EXPO1,
     _FACC1, _FACC2, _P11, _P12, _P13, _P14, _P32, _P33, _P34, _P42, _P43, _P44, _P52, _P53,
     _P54, _P62, _P63, _P64, _P72, _P73, _P74, _SAFETY)
+from streamuniq.vorticity import zero_vorticity
 
 # outcomes of the reference core, which reports a stall instead of raising
 _OK, _UNDERFLOW, _NONFINITE = "ok", "underflow", "non-finite"

@@ -1,12 +1,12 @@
 import numpy as np
 import pytest
 
-from streamuniq import (ContractionViolationError, DomainError, RadialGrid,
-                        Trajectory, UniquenessWindow, VorticityModel, WindowCollapseError,
-                        check_lower_bound, compute_r2, continuity_sweep,
-                        contraction_probe, deviation_limit_trace,
-                        run_uniqueness_analysis, trace_is_monotone,
-                        window_restricted_delta_ratios)
+from streamuniq import (ContractionViolationError, DomainError, RadialGrid, VorticityModel,
+                        WindowCollapseError, continuity_sweep, run_uniqueness_analysis)
+from streamuniq.picard import Trajectory
+from streamuniq.verify import (UniquenessWindow, check_lower_bound, compute_r2,
+                               contraction_probe, deviation_limit_trace, trace_is_monotone,
+                               window_restricted_delta_ratios)
 
 SQRT2 = 1.4142135623730951
 

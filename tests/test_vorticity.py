@@ -5,9 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from streamuniq import (OSCILLATORY_C2_BOUND, DomainError, ModelValidationError,
-                        VorticityModel, estimate_holder_constant,
-                        validate_hypotheses, validate_oscillatory_constants, zero_vorticity)
+from streamuniq import DomainError, ModelValidationError, VorticityModel, validate_hypotheses
+from streamuniq.vorticity import (OSCILLATORY_C2_BOUND, estimate_holder_constant,
+                                  validate_oscillatory_constants, zero_vorticity)
 
 # closed-form samples of the classical law psi - psi/sqrt(|psi|)
 CLASSICAL_VALUES = [
@@ -135,6 +135,27 @@ def test_sign_condition_nonzero_at_origin():
     assert report.sign_margin <= -0.5
     assert report.checks[0] == ("sign_condition", False)
     assert not report.verdict
+
+
+def _root_law(p):
+    return p - p / math.sqrt(abs(p)) if p else 0.0
+
+
+def test_sign_condition_nan_at_origin():
+    # nan at 0 alone: every other sample sees the classical law
+    model = VorticityModel.custom(lambda p: _root_law(p) if p else math.nan, holder_C=1.0)
+    report = validate_hypotheses(model)
+    assert math.isnan(report.sign_margin)
+    assert report.checks == (("sign_condition", False), ("holder_bound", True))
+
+
+def test_holder_bound_nan_on_a_thin_shell():
+    # no sign sample falls in 1e-5 < |p| < 1.002e-5; a few random Hoelder pairs do
+    model = VorticityModel.custom(
+        lambda p: math.nan if 1e-5 < abs(p) < 1.002e-5 else _root_law(p), holder_C=1.0)
+    report = validate_hypotheses(model)
+    assert math.isnan(report.holder_sup)
+    assert report.checks == (("sign_condition", True), ("holder_bound", False))
 
 
 def test_holder_estimate_classical(classical_model):

@@ -7,12 +7,14 @@ from TREE/src and the seeded benchmark cases from TREE/perfbench, then
 digests:
 
 - the 256 cert-batch analyses (seeds 0 and 1): Picard and RK ``psi``/``u``,
-  the report, the deviation trace, the Picard deltas, the RK diagnostics and
-  the window, or the error an analysis raised;
+  the report, the hypothesis report, the deviation trace, the Picard deltas,
+  the RK diagnostics and the window, or the error an analysis raised;
 - the ``continuity_sweep`` rows of 8 sweep-fine cases;
 - the error ``rk_solve`` raises when the step size underflows;
 - stdout, stderr, exit code and every artifact of a fixed set of
-  ``python -m streamuniq`` command lines, each run in a fresh directory.
+  ``python -m streamuniq`` command lines, each run in a fresh directory;
+  the ``validate-model`` runs print the sampled hypothesis report, and the
+  two custom laws without ``holder_c`` their automatic ``holder_C``.
 
 OUT.json holds one digest per line, so two trees compare with ``cmp`` and
 ``diff`` names the items that differ.  Needs only the standard library and
@@ -63,6 +65,7 @@ def cert_digests(out: dict) -> None:
             out[key + "/rk_psi"] = sha(res.traj_rk.psi.tobytes())
             out[key + "/rk_u"] = sha(res.traj_rk.u.tobytes())
             out[key + "/report"] = sha(repr(rep.as_dict()))
+            out[key + "/hypothesis"] = sha(repr(res.hypothesis))
             out[key + "/trace"] = sha(repr(rep.deviation_limit_trace))
             out[key + "/picard_deltas"] = sha(repr((dp.iterations, dp.converged,
                                                     dp.weighted_deltas)))
@@ -93,8 +96,9 @@ def underflow_digest(out: dict) -> None:
         out["api/underflow"] = "no error"
 
 
-ZERO_INI = ("[model]\nkind = custom\npath = streamuniq.vorticity:zero_vorticity\n"
-            "holder_c = 1.0\n")
+ZERO_AUTO_C_INI = "[model]\nkind = custom\npath = streamuniq.vorticity:zero_vorticity\n"
+ZERO_INI = ZERO_AUTO_C_INI + "holder_c = 1.0\n"
+ROOT_AUTO_C_INI = "[model]\nkind = custom\npath = perfbench.workloads:odd_root_law\n"
 UNDERFLOW_INI = "[solver]\nmethod = rk\nh_init = 0.05\nh_min = 0.05\nh_max = 0.05\n"
 
 # (name, argv after "python -m streamuniq", config text or None); a config is
@@ -115,11 +119,16 @@ COMMANDS = (
     ("integrate-window-collapse",
      ["integrate", "--psi1", "50", "--nodes", "5", "--r-max", "3"], None),
     ("sweep", ["sweep"], None),
+    ("validate-classical", ["validate-model"], None),
+    ("validate-oscillatory", ["validate-model", "--model", "oscillatory"], None),
+    ("validate-zero-auto-c", ["validate-model"], ZERO_AUTO_C_INI),
+    ("validate-root-auto-c", ["validate-model"], ROOT_AUTO_C_INI),
 )
 
 
 def cli_digests(out: dict, tree: str) -> None:
-    env = dict(os.environ, PYTHONPATH=os.path.join(tree, "src"))
+    # the tree itself is on the path for the perfbench law
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([os.path.join(tree, "src"), tree]))
     for name, argv, ini in COMMANDS:
         with tempfile.TemporaryDirectory() as run_dir:
             if ini is not None:
