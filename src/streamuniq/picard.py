@@ -8,7 +8,8 @@ is equivalent to
 
     psi(r) = r0*psi1*ln(r/r0) - int_{r0}^{r} tau*ln(r/tau)*f(psi(tau)) dtau,
 
-and the iteration starts from the pure logarithmic term.  Convergence is
+and the iteration starts from the pure logarithmic term, or from a caller's
+guess of the solution (a continuation start).  Convergence is
 measured in the weighted supremum norm sup |x(r)| / ln(r/r0), the natural
 norm for deviations that vanish at r0.  Negative psi1 is handled by solving
 the reflected problem (psi -> -psi leaves the builtin laws equivariant) and
@@ -132,18 +133,27 @@ def _require_valid(model: VorticityModel, allow_unvalidated: bool,
 def picard_solve(model: VorticityModel, r0: float, psi1: float, grid: RadialGrid,
                  tol: float = 1.0e-10, max_iter: int = 60,
                  allow_unvalidated: bool = False,
-                 validation: HypothesisReport | None = None) -> tuple[Trajectory, PicardDiagnostics]:
+                 validation: HypothesisReport | None = None,
+                 start: np.ndarray | None = None) -> tuple[Trajectory, PicardDiagnostics]:
     """Iterate the integral operator to the weighted-norm fixed point.
 
     Parameters
     ----------
     validation : HypothesisReport, optional
         A previously computed report; passing it skips re-sampling the model.
+    start : array, optional
+        A guess of the returned psi on the grid, in the returned sign (the
+        solver negates it for psi1 < 0).  It replaces the logarithmic term as
+        the first iterate, passes the same band check and is iterates[0];
+        the stopping rule is unchanged.
 
     Raises
     ------
+    DomainError
+        If start is not a finite array matching the grid nodes.
     WindowCollapseError
-        If an iterate leaves (0, delta] already at the first interior node.
+        If an iterate, the start included, leaves (0, delta] already at the
+        first interior node.
     NonConvergenceError
         If max_iter is exhausted or an iterate turns non-finite; diagnostics
         collected so far ride along on the exception.
@@ -155,15 +165,21 @@ def picard_solve(model: VorticityModel, r0: float, psi1: float, grid: RadialGrid
         raise DomainError("tol must be positive")
     if max_iter < 1:
         raise DomainError("max_iter must be at least 1")
+    if start is not None:
+        start = np.asarray(start, dtype=np.float64)
+        if start.shape != grid.nodes.shape or not np.all(np.isfinite(start)):
+            raise DomainError("start must be a finite array matching the grid nodes")
+        if psi1 < 0.0:
+            start = -start
     _require_valid(model, allow_unvalidated, validation)
 
     a = r0 * abs(psi1)
     L = grid.log_weights
     m = a * L
     # nothing writes into an iterate, so psi and the record share arrays
-    psi = m
+    psi = m if start is None else start
     deltas: list[float] = []
-    iterates: list[np.ndarray] = [m]
+    iterates: list[np.ndarray] = [psi]
     diagnostics = PicardDiagnostics(iterations=0, weighted_deltas=deltas,
                                     converged=False, iterates=iterates)
 

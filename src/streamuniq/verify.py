@@ -45,6 +45,12 @@ LOWER_BOUND_TOL = 1.0e-8
 CONTRACTION_RATIO_MAX = 0.55
 CROSS_METHOD_SUP_MAX = 1.0e-6
 
+# Solved slopes carry errors up to about tol.  A continuation prediction may
+# amplify them (sum of |Lagrange weights|) at most this much, else its
+# farthest neighbour is dropped: a secant through slopes 1e-12 apart,
+# evaluated 0.1 away, would amplify them 2e11-fold.
+_PREDICTION_GAIN_MAX = 1.0e4
+
 
 @dataclass(frozen=True)
 class UniquenessWindow:
@@ -346,21 +352,50 @@ def continuity_sweep(model: VorticityModel, r0: float, psi1_values,
     without a grid, one of 1025 geometric nodes spans [r0, r_max] and r_max
     defaults to 2*r0; a grid given with r_max must end there.  Continuity of
     the solution map shows up as sup_dev shrinking linearly with |dpsi1|.
+
+    The values are solved in input order, each once: a repeated psi1 reuses
+    its solution.  Each new psi1 starts Picard from _continuation_start,
+    a prediction through the solved slopes of its sign, instead of the
+    logarithmic term; every solve still stops at weighted delta <= tol.
     """
     values = [float(v) for v in psi1_values]
     if len(values) < 2:
         raise DomainError("need a baseline and at least one comparison value")
+    for v in values:
+        check_psi1(v)
     _require_grid_end(grid, r_max)
     if grid is None:
         grid = RadialGrid.geometric(r0, 2.0 * r0 if r_max is None else r_max, 1025)
     hypothesis = validate_hypotheses(model)
-    trajs = []
+    solved: dict[float, np.ndarray] = {}
     for v in values:
-        traj, _ = picard_solve(model, r0, v, grid, tol=tol, validation=hypothesis)
-        trajs.append(traj)
-    base = trajs[0]
-    out = []
-    for v, traj in zip(values[1:], trajs[1:]):
-        sup, _ = weighted_norm(traj.psi - base.psi, grid)
-        out.append((v - values[0], sup))
-    return out
+        if v not in solved:
+            traj, _ = picard_solve(model, r0, v, grid, tol=tol, validation=hypothesis,
+                                   start=_continuation_start(v, solved))
+            solved[v] = traj.psi
+    base = solved[values[0]]
+    return [(v - values[0], weighted_norm(solved[v] - base, grid)[0]) for v in values[1:]]
+
+
+def _continuation_start(psi1: float, solved: dict[float, np.ndarray]) -> np.ndarray | None:
+    """Predicted psi for psi1 from the solved slopes of the same sign.
+
+    The Lagrange polynomial in psi1 through the (up to) three nearest
+    solved slopes, evaluated at psi1: the secant with two, and with one the
+    neighbour scaled by psi1/w.  None (a cold start) without a neighbour.
+    While the weights sum to more than _PREDICTION_GAIN_MAX in absolute
+    value, the farthest neighbour is dropped.  Same-sign neighbours only, so
+    the prediction never crosses the psi1 < 0 reflection.  Numerical
+    continuation, see Allgower & Georg, Introduction to Numerical
+    Continuation Methods (SIAM, 2003).
+    """
+    near = sorted((w for w in solved if (w > 0.0) == (psi1 > 0.0)),
+                  key=lambda w: abs(w - psi1))[:3]
+    while len(near) > 1:
+        weights = [math.prod((psi1 - x) / (w - x) for x in near if x != w) for w in near]
+        if sum(map(abs, weights)) <= _PREDICTION_GAIN_MAX:
+            return sum(c * solved[w] for c, w in zip(weights, near))
+        near.pop()
+    if near:
+        return (psi1 / near[0]) * solved[near[0]]
+    return None

@@ -95,11 +95,14 @@ class VorticityModel:
     def custom(cls, fn: Callable[[float], float], delta: float = 0.25,
                holder_C: float | None = None) -> "VorticityModel":
         """Wrap a scalar callable.  Without an explicit holder_C the constant is
-        set to 1.25x the sampled quotient supremum."""
+        set to 1.25x the sampled quotient supremum, or to 1.0 where that is
+        not finite and positive (a zero, nan or infinite supremum)."""
         if holder_C is None:
             probe = cls(kind="custom", delta=delta, holder_C=1.0, fn=fn)
             sup, _ = estimate_holder_constant(probe)
-            holder_C = 1.25 * sup if sup > 0.0 else 1.0
+            holder_C = 1.25 * sup
+            if not (np.isfinite(holder_C) and holder_C > 0.0):
+                holder_C = 1.0
         return cls(kind="custom", delta=delta, holder_C=holder_C, fn=fn)
 
     # -- evaluation ---------------------------------------------------------

@@ -175,3 +175,37 @@ def test_weighted_norm_tie_is_leftmost():
     val, r_at = weighted_norm(x, grid)
     np.testing.assert_allclose(val, 0.7, rtol=1e-15)
     assert r_at == 1.25
+
+
+@pytest.mark.parametrize("psi1", [0.8, -0.8])
+def test_a_converged_start_stops_after_one_iteration(classical_model, psi1):
+    grid = RadialGrid.geometric(1.0, 1.5, 1025)
+    cold, cold_diag = picard_solve(classical_model, 1.0, psi1, grid)
+    warm, diag = picard_solve(classical_model, 1.0, psi1, grid, start=cold.psi)
+    assert cold_diag.iterations > 1
+    assert diag.iterations == 1
+    assert diag.weighted_deltas[0] <= 1e-10
+    # the start is recorded in the solver's |psi1| sign
+    assert np.array_equal(diag.iterates[0], np.sign(psi1) * cold.psi)
+    assert weighted_norm(warm.psi - cold.psi, grid)[0] <= 1e-10
+    assert warm.u[0] == cold.u[0]
+    assert warm.window_end == cold.window_end
+
+
+def test_start_must_match_the_grid(classical_model):
+    grid = RadialGrid.geometric(1.0, 1.5, 65)
+    with pytest.raises(DomainError, match="start"):
+        picard_solve(classical_model, 1.0, 1.0, grid, start=grid.log_weights[:-1])
+    start = grid.log_weights.copy()
+    start[-1] = np.nan
+    with pytest.raises(DomainError, match="start"):
+        picard_solve(classical_model, 1.0, 1.0, grid, start=start)
+
+
+@pytest.mark.parametrize("first", [0.0, -1e-3, 0.3])
+def test_a_start_outside_the_band_collapses(classical_model, first):
+    grid = RadialGrid.geometric(1.0, 1.5, 65)
+    start = grid.log_weights.copy()
+    start[1] = first
+    with pytest.raises(WindowCollapseError, match="refine the grid"):
+        picard_solve(classical_model, 1.0, 1.0, grid, start=start)

@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
 
+import streamuniq.verify
 from streamuniq import (ContractionViolationError, DomainError, RadialGrid, VorticityModel,
-                        WindowCollapseError, continuity_sweep, run_uniqueness_analysis)
+                        WindowCollapseError, continuity_sweep, picard_solve,
+                        run_uniqueness_analysis, weighted_norm)
 from streamuniq.picard import Trajectory
 from streamuniq.verify import (UniquenessWindow, check_lower_bound, compute_r2,
                                contraction_probe, deviation_limit_trace, trace_is_monotone,
@@ -261,6 +263,52 @@ def test_continuity_sweep_small():
     np.testing.assert_allclose(sup, 1.0081807800335402e-03, rtol=1e-5)
     with pytest.raises(DomainError):
         continuity_sweep(model, 1.0, [1.0])
+
+
+def _cold_rows(model, r0, values, grid):
+    # the sweep's rows from independent cold solves, one per value
+    psi = [picard_solve(model, r0, v, grid)[0].psi for v in values]
+    return [(v - values[0], weighted_norm(p - psi[0], grid)[0])
+            for v, p in zip(values[1:], psi[1:])]
+
+
+def test_continuity_sweep_keeps_input_order_and_matches_cold_solves(classical_model):
+    values = [1.0, -0.5, 2.0, 1.0, 0.5, -0.5, 1.5]
+    grid = RadialGrid.geometric(1.0, 1.5, 4097)
+    rows = continuity_sweep(classical_model, 1.0, values, grid=grid)
+    assert [d for d, _ in rows] == [v - 1.0 for v in values[1:]]
+    # the repeated baseline reuses its solution
+    assert rows[2][1] == 0.0
+    for (_, sup), (_, cold) in zip(rows, _cold_rows(classical_model, 1.0, values, grid)):
+        np.testing.assert_allclose(sup, cold, rtol=1e-6)
+
+
+def test_continuity_sweep_survives_near_duplicate_slopes(classical_model):
+    # a secant through 1 and 1 + 1e-12 would amplify their solver errors
+    # 2e11-fold toward 1.1 and start outside the band
+    values = [1.0, 1.0 + 1e-12, 1.1, 1.0 + 1e-14, 2.0, 1.05]
+    grid = RadialGrid.geometric(1.0, 1.5, 4097)
+    rows = continuity_sweep(classical_model, 1.0, values, grid=grid)
+    for (_, sup), (_, cold) in zip(rows, _cold_rows(classical_model, 1.0, values, grid)):
+        np.testing.assert_allclose(sup, cold, rtol=1e-6, atol=1e-12)
+
+
+def test_continuity_sweep_continuation_saves_picard_iterations(classical_model, monkeypatch):
+    # sweep-fine's shape: a baseline and 16 geometric relative steps
+    values = [1.0] + [1.0 + e for e in np.geomspace(1e-4, 1e-1, 16)]
+    grid = RadialGrid.geometric(1.0, 1.5, 16385)
+    cold = sum(picard_solve(classical_model, 1.0, v, grid)[1].iterations for v in values)
+    counted = []
+
+    def counting(*args, **kwargs):
+        traj, diag = picard_solve(*args, **kwargs)
+        counted.append(diag.iterations)
+        return traj, diag
+
+    monkeypatch.setattr(streamuniq.verify, "picard_solve", counting)
+    continuity_sweep(classical_model, 1.0, values, grid=grid)
+    assert len(counted) == len(values)
+    assert sum(counted) <= 0.6 * cold
 
 
 def test_continuity_sweep_default_r_max_is_twice_r0():

@@ -158,6 +158,19 @@ def test_holder_bound_nan_on_a_thin_shell():
     assert report.checks == (("sign_condition", True), ("holder_bound", False))
 
 
+def test_custom_law_with_an_infinite_sup_gets_the_fallback_constant():
+    # inf at the band edge alone: the sampled supremum and margin turn infinite
+    def law(p):
+        return math.inf if p == 0.25 else _root_law(p)
+
+    model = VorticityModel.custom(law)
+    assert model.holder_C == 1.0
+    report = validate_hypotheses(model)
+    assert report.holder_sup == math.inf
+    assert report.sign_margin == -math.inf
+    assert report.checks == (("sign_condition", False), ("holder_bound", False))
+
+
 def test_holder_estimate_classical(classical_model):
     sup, used = estimate_holder_constant(classical_model)
     # the exact supremum over the band is 1/2, approached from below; the

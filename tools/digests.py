@@ -14,7 +14,9 @@ digests:
 - stdout, stderr, exit code and every artifact of a fixed set of
   ``python -m streamuniq`` command lines, each run in a fresh directory;
   the ``validate-model`` runs print the sampled hypothesis report, and the
-  two custom laws without ``holder_c`` their automatic ``holder_C``.
+  two custom laws without ``holder_c`` their automatic ``holder_C``;
+  ``sweep-mixed`` mixes signs and repeats its baseline, so it covers the
+  sweep's reuse of a solved slope and its same-sign continuation.
 
 OUT.json holds one digest per line, so two trees compare with ``cmp`` and
 ``diff`` names the items that differ.  Needs only the standard library and
@@ -119,6 +121,7 @@ COMMANDS = (
     ("integrate-window-collapse",
      ["integrate", "--psi1", "50", "--nodes", "5", "--r-max", "3"], None),
     ("sweep", ["sweep"], None),
+    ("sweep-mixed", ["sweep", "--psi1-values", "1.0,-1.0,0.5,1.0,2.0,-0.5"], None),
     ("validate-classical", ["validate-model"], None),
     ("validate-oscillatory", ["validate-model", "--model", "oscillatory"], None),
     ("validate-zero-auto-c", ["validate-model"], ZERO_AUTO_C_INI),
