@@ -152,11 +152,13 @@ _MAX_STEPS = 10_000_000
 # the loop tests the state for finiteness itself, so an overflowing law ends
 # in NonConvergenceError without numpy warnings on stderr
 @np.errstate(all="ignore")
-def rk_core(f, u0, r_max, rtol, atol, h_init, h_min, h_max, nodes_out):
+def rk_core(f, u0, r_max, rtol, atol, nodes_out):
     """Integrate psi' = u/r, u' = -r*f(psi) from (nodes_out[0], 0, u0).
 
     Returns (psi, u, n_accepted, n_rejected, h_last) with psi and u sampled
     at every node of nodes_out (strictly increasing, nodes_out[-1] <= r_max).
+    With span = r_max - nodes_out[0], the first step tries 1e-4 * span and
+    h_min = 1e-14 * span; a step that would pass r_max is cut to end there.
     Each accepted step fills the nodes it covers in one vectorised
     evaluation of its quartic dense interpolant, with per node the same
     arithmetic as a scalar evaluation.  Raises StepSizeUnderflowError when
@@ -173,7 +175,9 @@ def rk_core(f, u0, r_max, rtol, atol, h_init, h_min, h_max, nodes_out):
     u_out[0] = u0
     kp1 = u / t
     ku1 = -t * f(p)
-    h = h_init
+    span = float(r_max - t)
+    h = 1.0e-4 * span
+    h_min = 1.0e-14 * span
     facold = 1.0e-4
     idx = 1
     n_out = nodes_out.shape[0]
@@ -181,8 +185,6 @@ def rk_core(f, u0, r_max, rtol, atol, h_init, h_min, h_max, nodes_out):
     n_rej = 0
     rejected = False
     while idx < n_out:
-        if h > h_max:
-            h = h_max
         last = False
         if t + h >= r_max:
             h = r_max - t

@@ -281,8 +281,23 @@ def cmd_validate_model(cfg: cfgmod.RunConfig) -> int:
     return 0 if report.verdict else 1
 
 
+# the flags whose value may start with "-", with the parser of that value
+_VALUE_FLAGS = {"--r0": float, "--psi1": float, "--tol": float, "--r-max": float,
+                "--psi1-values": cfgmod.parse_float_list}
+
+
 def main(argv=None) -> int:
     parser = build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
+    # argparse takes a token that starts with "-" for a value only in the
+    # forms -1 and -.5, so "--psi1 -1e-3" is joined into "--psi1=-1e-3"
+    for i in range(len(argv) - 1, 0, -1):
+        if argv[i - 1] in _VALUE_FLAGS and argv[i].startswith("-"):
+            try:
+                _VALUE_FLAGS[argv[i - 1]](argv[i])
+            except (ValueError, ConfigError):
+                continue
+            argv[i - 1:i + 1] = [f"{argv[i - 1]}={argv[i]}"]
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:

@@ -22,7 +22,6 @@ from .vorticity import VorticityModel
 class RunConfig:
     model_kind: str = "classical"
     delta: float = 0.25
-    c1: float | None = None
     c2: float | None = None
     custom_path: str | None = None
     holder_c: float | None = None
@@ -36,9 +35,6 @@ class RunConfig:
     max_iter: int = 60
     rel_tol: float = 1.0e-10
     abs_tol: float = 1.0e-16
-    h_init: float | None = None
-    h_min: float | None = None
-    h_max: float | None = None
     r_max: float | None = None
     out_dir: str | None = None
     sweep_psi1: list[float] = field(default_factory=lambda: [1.0, 1.001, 1.01])
@@ -80,7 +76,6 @@ def parse_float_list(raw: str) -> list[float]:
 _KEYS = {
     ("model", "kind"): ("model_kind", _parse_text),
     ("model", "delta"): ("delta", _parse_float),
-    ("model", "c1"): ("c1", _parse_float),
     ("model", "c2"): ("c2", _parse_float),
     ("model", "path"): ("custom_path", _parse_text),
     ("model", "holder_c"): ("holder_c", _parse_float),
@@ -94,9 +89,6 @@ _KEYS = {
     ("solver", "max_iter"): ("max_iter", _parse_int),
     ("solver", "rel_tol"): ("rel_tol", _parse_float),
     ("solver", "abs_tol"): ("abs_tol", _parse_float),
-    ("solver", "h_init"): ("h_init", _parse_float_or_auto),
-    ("solver", "h_min"): ("h_min", _parse_float_or_auto),
-    ("solver", "h_max"): ("h_max", _parse_float_or_auto),
     ("run", "r_max"): ("r_max", _parse_float),
     ("run", "out"): ("out_dir", _parse_text),
     ("run", "sweep_psi1"): ("sweep_psi1", lambda section, key, raw: parse_float_list(raw)),
@@ -115,6 +107,9 @@ def load_config(path: str) -> RunConfig:
     except configparser.Error as exc:
         raise ConfigError(f"malformed config {path!r}: {exc}") from exc
 
+    # configparser hands [DEFAULT] keys to every section, past the schema
+    if parser.defaults():
+        raise ConfigError("unknown config section [DEFAULT]")
     cfg = RunConfig()
     for section in parser.sections():
         if section not in _SECTIONS:
@@ -150,7 +145,7 @@ def build_model(cfg: RunConfig) -> VorticityModel:
         return VorticityModel.classical(delta=cfg.delta)
     if kind == "oscillatory":
         c2 = 0.02 if cfg.c2 is None else cfg.c2
-        return VorticityModel.oscillatory(c2=c2, c1=cfg.c1, delta=cfg.delta)
+        return VorticityModel.oscillatory(c2=c2, delta=cfg.delta)
     if kind == "custom":
         if not cfg.custom_path:
             raise ConfigError("custom models need [model] path = pkg.module:function")
@@ -168,5 +163,4 @@ def build_grid(cfg: RunConfig, r0: float, r_max: float) -> RadialGrid:
 
 
 def build_control(cfg: RunConfig) -> StepControl:
-    return StepControl(rel_tol=cfg.rel_tol, abs_tol=cfg.abs_tol,
-                       h_init=cfg.h_init, h_min=cfg.h_min, h_max=cfg.h_max)
+    return StepControl(rel_tol=cfg.rel_tol, abs_tol=cfg.abs_tol)

@@ -117,11 +117,7 @@ def _signed_trajectory(model: VorticityModel, psi1: float, grid: RadialGrid,
     return Trajectory(grid=grid, psi=psi, u=u, window_end=window_end, method_tag=method_tag)
 
 
-def _require_valid(model: VorticityModel, allow_unvalidated: bool,
-                   validation: HypothesisReport | None) -> None:
-    if allow_unvalidated:
-        return
-    report = validation if validation is not None else validate_hypotheses(model)
+def _require_valid(model: VorticityModel, report: HypothesisReport) -> None:
     if not report.verdict:
         raise ModelValidationError(
             "model failed hypothesis validation "
@@ -133,14 +129,11 @@ def _require_valid(model: VorticityModel, allow_unvalidated: bool,
 def picard_solve(model: VorticityModel, r0: float, psi1: float, grid: RadialGrid,
                  tol: float = 1.0e-10, max_iter: int = 60,
                  allow_unvalidated: bool = False,
-                 validation: HypothesisReport | None = None,
                  start: np.ndarray | None = None) -> tuple[Trajectory, PicardDiagnostics]:
     """Iterate the integral operator to the weighted-norm fixed point.
 
     Parameters
     ----------
-    validation : HypothesisReport, optional
-        A previously computed report; passing it skips re-sampling the model.
     start : array, optional
         A guess of the returned psi on the grid, in the returned sign (the
         solver negates it for psi1 < 0).  It replaces the logarithmic term as
@@ -171,7 +164,8 @@ def picard_solve(model: VorticityModel, r0: float, psi1: float, grid: RadialGrid
             raise DomainError("start must be a finite array matching the grid nodes")
         if psi1 < 0.0:
             start = -start
-    _require_valid(model, allow_unvalidated, validation)
+    if not allow_unvalidated:
+        _require_valid(model, validate_hypotheses(model))
 
     a = r0 * abs(psi1)
     L = grid.log_weights

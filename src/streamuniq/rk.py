@@ -27,13 +27,13 @@ from . import _kernels
 from .errors import DomainError
 from .grids import RadialGrid
 from .picard import Trajectory, _check_start, _require_valid, _signed_trajectory
-from .vorticity import HypothesisReport, VorticityModel
+from .vorticity import VorticityModel, validate_hypotheses
 
 
 @dataclass(frozen=True)
 class StepControl:
-    """Adaptive step parameters.  None fields are resolved against the span:
-    h_init = 1e-4 * span, h_min = 1e-14 * span, h_max = span.
+    """Error tolerances of the adaptive step.  The step bounds are fixed
+    by the span, see ``_kernels.rk_core``.
 
     abs_tol defaults far below rel_tol because the solution passes through 0
     at r0 and the weighted deviation divides by ln(r/r0) there; a loose
@@ -42,22 +42,6 @@ class StepControl:
 
     rel_tol: float = 1.0e-10
     abs_tol: float = 1.0e-16
-    h_init: float | None = None
-    h_min: float | None = None
-    h_max: float | None = None
-
-    def resolved(self, span: float) -> tuple[float, float, float]:
-        if not (np.isfinite(self.rel_tol) and 0.0 < self.rel_tol < 1.0):
-            raise DomainError("rel_tol must lie in (0, 1)")
-        if not (np.isfinite(self.abs_tol) and self.abs_tol > 0.0):
-            raise DomainError("abs_tol must be positive")
-        h_init = 1.0e-4 * span if self.h_init is None else self.h_init
-        h_min = 1.0e-14 * span if self.h_min is None else self.h_min
-        h_max = span if self.h_max is None else self.h_max
-        if not (0.0 < h_min <= h_init <= h_max):
-            raise DomainError(
-                f"need 0 < h_min <= h_init <= h_max, got ({h_min!r}, {h_init!r}, {h_max!r})")
-        return h_init, h_min, h_max
 
 
 @dataclass(frozen=True)
@@ -71,8 +55,7 @@ class RKDiagnostics:
 
 def rk_solve(model: VorticityModel, r0: float, psi1: float, r_max: float,
              control: StepControl | None = None, output_grid: RadialGrid | None = None,
-             allow_unvalidated: bool = False,
-             validation: HypothesisReport | None = None) -> tuple[Trajectory, RKDiagnostics]:
+             allow_unvalidated: bool = False) -> tuple[Trajectory, RKDiagnostics]:
     """Integrate from (r0, 0, r0*psi1) to r_max, sampling on output_grid.
 
     The default output grid is 513 uniform nodes.  A supplied grid must start
@@ -88,12 +71,16 @@ def rk_solve(model: VorticityModel, r0: float, psi1: float, r_max: float,
     if output_grid.nodes[0] != r0 or output_grid.nodes[-1] != r_max:
         raise DomainError("output grid must span [r0, r_max] exactly")
     control = control or StepControl()
-    h_init, h_min, h_max = control.resolved(r_max - r0)
-    _require_valid(model, allow_unvalidated, validation)
+    if not (np.isfinite(control.rel_tol) and 0.0 < control.rel_tol < 1.0):
+        raise DomainError("rel_tol must lie in (0, 1)")
+    if not (np.isfinite(control.abs_tol) and control.abs_tol > 0.0):
+        raise DomainError("abs_tol must be positive")
+    if not allow_unvalidated:
+        _require_valid(model, validate_hypotheses(model))
 
     psi, u, n_acc, n_rej, h_last = _kernels.rk_core_python(
         model.evaluate, r0 * abs(psi1), r_max, control.rel_tol, control.abs_tol,
-        h_init, h_min, h_max, output_grid.nodes)
+        output_grid.nodes)
     diag = RKDiagnostics(n_accepted=int(n_acc), n_rejected=int(n_rej), h_final=float(h_last),
                          rel_tol=control.rel_tol, abs_tol=control.abs_tol)
     return _signed_trajectory(model, psi1, output_grid, psi, u, "rk"), diag

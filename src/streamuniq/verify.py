@@ -29,8 +29,8 @@ import numpy as np
 
 from .errors import ContractionViolationError, DomainError, WindowCollapseError
 from .grids import RadialGrid, check_r0
-from .picard import (PicardDiagnostics, Trajectory, check_psi1, picard_solve, residual,
-                     weighted_norm)
+from .picard import (PicardDiagnostics, Trajectory, _require_valid, check_psi1, picard_solve,
+                     residual, weighted_norm)
 from .rk import RKDiagnostics, StepControl, rk_solve
 from .vorticity import HypothesisReport, VorticityModel, validate_hypotheses
 
@@ -302,10 +302,11 @@ def run_uniqueness_analysis(model: VorticityModel, r0: float = 1.0, psi1: float 
         grid = RadialGrid.geometric(r0, r_max, 2049)
     control = control or StepControl()
 
+    _require_valid(model, hypothesis)
     traj_p, diag_p = picard_solve(model, r0, psi1, grid, tol=picard_tol,
-                                  max_iter=picard_max_iter, validation=hypothesis)
+                                  max_iter=picard_max_iter, allow_unvalidated=True)
     traj_rk, diag_rk = rk_solve(model, r0, psi1, grid.r_max, control=control,
-                                output_grid=grid, validation=hypothesis)
+                                output_grid=grid, allow_unvalidated=True)
 
     window = window0.clipped(min(traj_p.window_end, traj_rk.window_end))
 
@@ -366,11 +367,11 @@ def continuity_sweep(model: VorticityModel, r0: float, psi1_values,
     _require_grid_end(grid, r_max)
     if grid is None:
         grid = RadialGrid.geometric(r0, 2.0 * r0 if r_max is None else r_max, 1025)
-    hypothesis = validate_hypotheses(model)
+    _require_valid(model, validate_hypotheses(model))
     solved: dict[float, np.ndarray] = {}
     for v in values:
         if v not in solved:
-            traj, _ = picard_solve(model, r0, v, grid, tol=tol, validation=hypothesis,
+            traj, _ = picard_solve(model, r0, v, grid, tol=tol, allow_unvalidated=True,
                                    start=_continuation_start(v, solved))
             solved[v] = traj.psi
     base = solved[values[0]]

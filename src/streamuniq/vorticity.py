@@ -15,7 +15,7 @@ non-Lipschitz at 0; both validators below sample it directly.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
@@ -45,8 +45,9 @@ class VorticityModel:
         Half-width of the admissibility band around 0.
     holder_C : float
         Constant in the square-root-weighted difference bound.
-    c1, c2 : float
-        Oscillatory constants; zero for the other kinds.
+    c2 : float
+        Oscillatory frequency; zero for the other kinds.  c1 = sin(c2/2) is
+        derived, the one value the constraint chain admits.
     fn : callable, optional
         Scalar law for custom models.  Must satisfy fn(0) == 0.
     """
@@ -54,13 +55,16 @@ class VorticityModel:
     kind: str
     delta: float
     holder_C: float
-    c1: float = 0.0
+    c1: float = field(init=False)
     c2: float = 0.0
     fn: Callable[[float], float] | None = None
 
     def __post_init__(self):
         if self.kind not in ("classical", "oscillatory", "custom"):
             raise DomainError(f"unknown vorticity kind {self.kind!r}")
+        object.__setattr__(self, "c1", math.sin(self.c2 / 2.0))
+        if self.kind == "oscillatory":
+            validate_oscillatory_constants(self.c1, self.c2)
         if not (0.0 < self.delta <= 0.25):
             raise DomainError("delta must lie in (0, 0.25]")
         if not (np.isfinite(self.holder_C) and self.holder_C > 0.0):
@@ -70,26 +74,24 @@ class VorticityModel:
 
     @classmethod
     def classical(cls, delta: float = 0.25) -> "VorticityModel":
-        """psi - psi/sqrt(|psi|), with the sharp admissible constant for the band.
+        """psi - psi/sqrt(|psi|), with an admissible constant for the band.
 
         |p - q| contributes sqrt(delta)/sqrt(min) and the root part 1/(2*sqrt(min)),
-        so holder_C = sqrt(delta) + 1/2 is always admissible.
+        so holder_C = sqrt(delta) + 1/2 is always admissible.  It is not
+        sharp: the sampled supremum of the weighted quotient is 1/2.
         """
         return cls(kind="classical", delta=delta, holder_C=math.sqrt(delta) + 0.5)
 
     @classmethod
-    def oscillatory(cls, c2: float = 0.02, c1: float | None = None, delta: float = 0.25) -> "VorticityModel":
-        """Root law modulated by 1 + c1 - sin(c2*psi^2/(psi^2+1)).
+    def oscillatory(cls, c2: float = 0.02, *, delta: float = 0.25) -> "VorticityModel":
+        """Root law modulated by 1 + c1 - sin(c2*psi^2/(psi^2+1)), c1 = sin(c2/2).
 
-        c1 defaults to sin(c2/2) as the constraint chain requires.  The
-        constant below adds the modulation's Lipschitz contribution
+        The constant below adds the modulation's Lipschitz contribution
         (2*c2*delta^2) to the classical bound.
         """
-        if c1 is None:
-            c1 = math.sin(c2 / 2.0)
-        validate_oscillatory_constants(c1, c2)
+        c1 = math.sin(c2 / 2.0)
         holder_C = math.sqrt(delta) + 0.5 * (1.0 + c1) + 2.0 * c2 * delta * delta
-        return cls(kind="oscillatory", delta=delta, holder_C=holder_C, c1=c1, c2=c2)
+        return cls(kind="oscillatory", delta=delta, holder_C=holder_C, c2=c2)
 
     @classmethod
     def custom(cls, fn: Callable[[float], float], delta: float = 0.25,

@@ -167,15 +167,13 @@ def test_verify_window_without_interior_node_exits_three(tmp_path, capsys):
     assert not out.exists()
 
 
-def test_integrate_step_underflow_prints_plain_floats(tmp_path, capsys):
-    cfgfile = tmp_path / "underflow.ini"
-    cfgfile.write_text("[solver]\nmethod = rk\nh_init = 0.05\nh_min = 0.05\nh_max = 0.05\n",
-                       encoding="utf-8")
-    out = tmp_path / "run"
-    assert main(["integrate", "--config", str(cfgfile), "--out", str(out)]) == 3
-    assert capsys.readouterr().err == (
-        "solver failure: step size fell below h_min = 0.05 at r = 1.0\n")
-    assert not out.exists()
+def test_integrate_step_underflow_prints_plain_floats(tmp_path):
+    proc = _run_with_law(tmp_path, ["integrate", "--method", "rk"], "steep_beyond_the_band")
+    assert proc.returncode == 3
+    assert proc.stdout == ""
+    assert proc.stderr == (
+        "solver failure: step size fell below h_min = 1e-14 at r = 1.3362233197736864\n")
+    assert not (tmp_path / "out").exists()
 
 
 def test_integrate_window_collapse_prints_plain_floats(tmp_path, capsys):
@@ -449,15 +447,23 @@ def test_solver_failure_exits_three_and_writes_nothing(tmp_path, capsys):
     assert not out.exists()
 
 
-def test_rk_underflow_exits_three(tmp_path, capsys):
-    cfgfile = tmp_path / "stiff.ini"
-    cfgfile.write_text(
-        "[solver]\nmethod = rk\nh_init = 0.05\nh_min = 0.05\nh_max = 0.05\n",
-        encoding="utf-8")
-    code = main(["integrate", "--config", str(cfgfile),
-                 "--out", str(tmp_path / "x")])
-    assert code == 3
-    assert "solver failure" in capsys.readouterr().err
+def test_rk_underflow_exits_three(tmp_path):
+    proc = _run_with_law(tmp_path, ["integrate", "--method", "rk", "--out", "x"],
+                         "steep_beyond_the_band")
+    assert proc.returncode == 3
+    assert "solver failure" in proc.stderr
+    assert not (tmp_path / "x").exists()
+
+
+@pytest.mark.parametrize("text, key, section", [
+    ("[solver]\nh_min = 0.05\n", "h_min", "solver"),
+    ("[model]\nc1 = 0.01\n", "c1", "model"),
+])
+def test_removed_config_keys_exit_two(tmp_path, capsys, text, key, section):
+    cfgfile = tmp_path / "run.ini"
+    cfgfile.write_text(text, encoding="utf-8")
+    assert main(["integrate", "--config", str(cfgfile), "--out", str(tmp_path / "x")]) == 2
+    assert capsys.readouterr().err == f"error: unknown key {key!r} in section [{section}]\n"
 
 
 LAWS = """
@@ -469,6 +475,13 @@ def finite_on_band(psi):
     if abs(psi) > 0.3:
         return math.inf
     return psi - psi / math.sqrt(abs(psi)) if psi != 0.0 else 0.0
+
+
+def steep_beyond_the_band(psi):
+    # the classical law plus 1e9 beyond |psi| = 0.3: validation samples only
+    # the band, and the RK step collapses where psi crosses 0.3
+    f = psi - psi / math.sqrt(abs(psi)) if psi != 0.0 else 0.0
+    return f + 1.0e9 if abs(psi) > 0.3 else f
 
 
 def infinite_near_zero(psi):
@@ -539,6 +552,35 @@ def test_out_naming_a_file_exits_two(tmp_path, capsys):
     assert main(["validate-model", "--out", str(taken)]) == 2
     assert capsys.readouterr().err.startswith("error: ")
     assert taken.read_text(encoding="utf-8") == "keep\n"
+
+
+# argparse alone reads "-1e-3" as an option; each value below reaches the
+# check of its own flag
+@pytest.mark.parametrize("argv, message", [
+    (["integrate", "--psi1", "-inf"], "psi1 must be finite and nonzero"),
+    (["integrate", "--r0", "-2E0"], "r0 must be finite and >= 1, got -2.0"),
+    (["verify", "--tol", "-1e-9"], "tol must be positive"),
+    (["sweep", "--r-max", "-1e1"], "r_max must exceed r0"),
+    (["sweep", "--psi1-values", "-5e-1,0"], "psi1 must be finite and nonzero"),
+])
+def test_negative_values_in_exponent_form_reach_their_checks(tmp_path, capsys, argv, message):
+    assert main(argv + ["--out", str(tmp_path / "x")]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not (tmp_path / "x").exists()
+
+
+def test_negative_values_reach_the_solvers(tmp_path, capsys):
+    out = tmp_path / "run"
+    assert main(["integrate", "--psi1", "-1e-3", "--nodes", "65", "--out", str(out)]) == 0
+    assert "psi_at_r_max = -" in capsys.readouterr().out
+    assert main(["sweep", "--psi1-values", "-0.5,-0.6", "--nodes", "65",
+                 "--out", str(out)]) == 0
+    assert capsys.readouterr().out.startswith("dpsi1 = -0.09999")
+    assert main(["integrate", "--psi1", "-inf", "--out", str(out)]) == 2
+    assert capsys.readouterr().err == "error: psi1 must be finite and nonzero\n"
+    # a following option is still no value
+    assert main(["integrate", "--psi1", "--out", str(out)]) == 2
+    assert "argument --psi1: expected one argument" in capsys.readouterr().err
 
 
 def test_bad_psi1_values_exit_two(tmp_path, capsys):

@@ -32,8 +32,6 @@ tol = 1e-9
 max_iter = 40
 rel_tol = 1e-8
 abs_tol = 1e-15
-h_init = auto
-h_max = 0.5
 
 [run]
 r_max = 2.5
@@ -48,15 +46,12 @@ def test_load_full_config(tmp_path):
     cfg = load_config(str(path))
     assert cfg.model_kind == "oscillatory"
     assert cfg.c2 == 0.02
-    assert cfg.c1 is None
     assert cfg.delta == 0.2
     assert (cfg.r0, cfg.psi1) == (1.5, -0.75)
     assert (cfg.grid_kind, cfg.grid_n, cfg.grid_ratio) == ("uniform", 129, None)
     assert cfg.method == "rk"
     assert (cfg.tol, cfg.max_iter) == (1e-9, 40)
     assert (cfg.rel_tol, cfg.abs_tol) == (1e-8, 1e-15)
-    assert cfg.h_init is None
-    assert cfg.h_max == 0.5
     assert cfg.r_max == 2.5
     assert cfg.out_dir == "results"
     assert cfg.sweep_psi1 == [1.0, 1.01]
@@ -80,6 +75,14 @@ def test_defaults():
     ("[ic]\nr0 = banana\n", "not a number"),
     ("[grid]\nn = 2.5\n", "not an integer"),
     ("no headers here", "malformed config"),
+    # c1 is derived from c2, the RK step bounds from the span
+    ("[model]\nc1 = 0.01\n", r"^unknown key 'c1' in section \[model\]$"),
+    ("[solver]\nh_min = 0.05\n", r"^unknown key 'h_min' in section \[solver\]$"),
+    # [DEFAULT] keys would reach every section past the schema
+    ("[DEFAULT]\nr0 = 2.0\npsi1 = 0.5\n", r"^unknown config section \[DEFAULT\]$"),
+    ("[DEFAULT]\nr0 = 2.0\n[ic]\npsi1 = 0.5\n", r"^unknown config section \[DEFAULT\]$"),
+    ("[DEFAULT]\nr0 = 2.0\n[model]\nkind = classical\n",
+     r"^unknown config section \[DEFAULT\]$"),
 ])
 def test_rejects_bad_files(tmp_path, text, fragment):
     path = tmp_path / "bad.ini"
@@ -138,17 +141,16 @@ def test_build_grid_and_control():
         build_grid(RunConfig(grid_kind="chebyshev"), 1.0, 2.0)
     with pytest.raises(DomainError):
         build_grid(RunConfig(grid_n=1), 1.0, 2.0)
-    control = build_control(RunConfig(rel_tol=1e-8))
-    assert control.rel_tol == 1e-8
-    assert control.h_init is None
+    control = build_control(RunConfig(rel_tol=1e-8, abs_tol=1e-15))
+    assert (control.rel_tol, control.abs_tol) == (1e-8, 1e-15)
 
 
 # the accepted names, as listed section by section before they became one table
 SCHEMA = {
-    "model": {"kind", "delta", "c1", "c2", "path", "holder_c"},
+    "model": {"kind", "delta", "c2", "path", "holder_c"},
     "ic": {"r0", "psi1"},
     "grid": {"kind", "n", "ratio"},
-    "solver": {"method", "tol", "max_iter", "rel_tol", "abs_tol", "h_init", "h_min", "h_max"},
+    "solver": {"method", "tol", "max_iter", "rel_tol", "abs_tol"},
     "run": {"r_max", "out", "sweep_psi1"},
 }
 

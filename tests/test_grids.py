@@ -115,6 +115,16 @@ def test_one_r0_rule_and_message_everywhere(r0, tmp_path, capsys):
         assert capsys.readouterr().err == f"error: {message}\n"
 
 
+@pytest.mark.parametrize("build, message", [
+    (lambda: RadialGrid.geometric(1.0, 2.0, 2), "a geometric grid needs at least three nodes"),
+    (lambda: RadialGrid.uniform(1.0, np.inf, 5), "grid bounds must be finite"),
+])
+def test_factory_guard_messages(build, message):
+    with pytest.raises(DomainError) as err:
+        build()
+    assert str(err.value) == message
+
+
 def test_geometric_invalid_ratio():
     for ratio in (0.0, -0.5, 1.5e-7, np.nan):
         with pytest.raises(DomainError):

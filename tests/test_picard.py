@@ -3,7 +3,7 @@ import pytest
 
 from streamuniq import (DomainError, ModelValidationError, NonConvergenceError, RadialGrid,
                         VorticityModel, WindowCollapseError, picard_solve, weighted_norm)
-from streamuniq.picard import residual
+from streamuniq.picard import _require_valid, residual
 from streamuniq.vorticity import HypothesisReport, zero_vorticity
 
 
@@ -78,14 +78,18 @@ def test_validation_gate(classical_model):
     zero = VorticityModel.custom(zero_vorticity, holder_C=1.0)
     with pytest.raises(ModelValidationError, match="allow_unvalidated"):
         picard_solve(zero, 1.0, 1.0, grid)
-    # a supplied report takes precedence over re-sampling
+    # allow_unvalidated is the one way past the sampling
+    picard_solve(zero, 1.0, 1.0, grid, allow_unvalidated=True)
+    with pytest.raises(TypeError):
+        picard_solve(classical_model, 1.0, 1.0, grid, validation=None)
+    # a failing report raises, a passing one does not
     ok = HypothesisReport(sign_margin=1.0, holder_sup=0.0, samples_used=1,
                           checks=(("sign_condition", True), ("holder_bound", True)))
-    picard_solve(zero, 1.0, 1.0, grid, validation=ok)
+    _require_valid(zero, ok)
     bad = HypothesisReport(sign_margin=-1.0, holder_sup=0.0, samples_used=1,
                            checks=(("sign_condition", False), ("holder_bound", True)))
     with pytest.raises(ModelValidationError):
-        picard_solve(classical_model, 1.0, 1.0, grid, validation=bad)
+        _require_valid(classical_model, bad)
 
 
 def test_window_collapse_on_coarse_grid(classical_model):

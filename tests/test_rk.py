@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -207,11 +209,19 @@ def test_tighter_tolerance_reduces_error(classical_model):
     assert errs[0] < 1e-6
 
 
-def test_step_size_underflow(classical_model):
-    control = StepControl(h_min=0.05, h_init=0.05, h_max=0.05)
-    with pytest.raises(StepSizeUnderflowError) as err:
-        rk_solve(classical_model, 1.0, 1.0, 1.5, control=control)
-    assert err.value.r_at == 1.0
+def _underflow_law(psi):
+    # the classical law plus 1e9 beyond |psi| = 0.3: validation samples only
+    # |psi| <= delta = 0.25, and the step collapses where psi crosses 0.3
+    f = psi - psi / np.sqrt(abs(psi)) if psi != 0.0 else 0.0
+    return f + 1.0e9 if abs(psi) > 0.3 else f
+
+
+def test_step_size_underflow():
+    model = VorticityModel.custom(_underflow_law)
+    with pytest.raises(StepSizeUnderflowError,
+                       match=r"^step size fell below h_min = 1e-14 at r = 1\.33622") as err:
+        rk_solve(model, 1.0, 1.0, 2.0)
+    assert err.value.r_at == 1.3362233197736864
     assert type(err.value.r_at) is float
 
 
@@ -236,17 +246,19 @@ def test_step_budget_exhaustion(classical_model, monkeypatch):
         rk_solve(classical_model, 1.0, 1.0, 1.5)
 
 
-def test_control_validation():
-    with pytest.raises(DomainError):
-        StepControl(rel_tol=0.0).resolved(1.0)
-    with pytest.raises(DomainError):
-        StepControl(rel_tol=2.0).resolved(1.0)
-    with pytest.raises(DomainError):
-        StepControl(abs_tol=-1.0).resolved(1.0)
-    with pytest.raises(DomainError):
-        StepControl(h_min=0.5, h_init=0.1).resolved(1.0)
-    h_init, h_min, h_max = StepControl().resolved(2.0)
-    assert (h_init, h_min, h_max) == (2e-4, 2e-14, 2.0)
+def test_control_validation(classical_model):
+    for control, message in ((StepControl(rel_tol=0.0), "rel_tol must lie in (0, 1)"),
+                             (StepControl(rel_tol=2.0), "rel_tol must lie in (0, 1)"),
+                             (StepControl(abs_tol=-1.0), "abs_tol must be positive")):
+        with pytest.raises(DomainError, match=f"^{re.escape(message)}$"):
+            rk_solve(classical_model, 1.0, 1.0, 2.0, control=control)
+
+
+def test_removed_inputs_raise_type_error(classical_model):
+    with pytest.raises(TypeError):
+        StepControl(h_min=0.05)
+    with pytest.raises(TypeError):
+        rk_solve(classical_model, 1.0, 1.0, 2.0, validation=None)
 
 
 def test_argument_validation(classical_model):
@@ -278,12 +290,12 @@ def test_dense_fill_matches_per_node_reference(classical_model, oscillatory_mode
                                                model_name, psi1, grid):
     model = classical_model if model_name == "classical" else oscillatory_model
     traj, diag = rk_solve(model, grid.r0, psi1, grid.r_max, output_grid=grid)
-    h_init, h_min, h_max = StepControl().resolved(grid.r_max - grid.r0)
+    span = grid.r_max - grid.r0
     psi = np.empty_like(grid.nodes)
     u = np.empty_like(grid.nodes)
     n_acc, n_rej, h_last, status = _reference_rk_core(
         model.evaluate, grid.r0 * abs(psi1), grid.r_max, 1.0e-10, 1.0e-16,
-        h_init, h_min, h_max, grid.nodes, psi, u)
+        1.0e-4 * span, 1.0e-14 * span, span, grid.nodes, psi, u)
     assert status == _OK
     assert (diag.n_accepted, diag.n_rejected, diag.h_final) == (n_acc, n_rej, h_last)
     sign = np.sign(psi1)

@@ -1,14 +1,17 @@
 import numpy as np
 import pytest
 
+import streamuniq.picard
+import streamuniq.rk
 import streamuniq.verify
-from streamuniq import (ContractionViolationError, DomainError, RadialGrid, VorticityModel,
-                        WindowCollapseError, continuity_sweep, picard_solve,
-                        run_uniqueness_analysis, weighted_norm)
+from streamuniq import (ContractionViolationError, DomainError, ModelValidationError, RadialGrid,
+                        VorticityModel, WindowCollapseError, continuity_sweep, picard_solve,
+                        run_uniqueness_analysis, validate_hypotheses, weighted_norm)
 from streamuniq.picard import Trajectory
 from streamuniq.verify import (UniquenessWindow, check_lower_bound, compute_r2,
                                contraction_probe, deviation_limit_trace, trace_is_monotone,
                                window_restricted_delta_ratios)
+from streamuniq.vorticity import zero_vorticity
 
 SQRT2 = 1.4142135623730951
 
@@ -179,6 +182,21 @@ def test_deviation_trace_synthetic_oracle():
     assert trace_is_monotone(trace, 0.0)
 
 
+def test_deviation_trace_drops_repeated_nodes():
+    # on 9 nodes the 12 halving targets snap to only 4 distinct radii
+    grid = RadialGrid.geometric(1.0, 1.3, 9)
+    L = grid.log_weights
+    u = np.full(grid.n, 0.3)
+    ta = Trajectory(grid=grid, psi=0.3 * L, u=u, window_end=1.3, method_tag="picard")
+    tb = Trajectory(grid=grid, psi=0.3 * L + 1e-3 * L * (grid.nodes - 1.0), u=u.copy(),
+                    window_end=1.3, method_tag="rk")
+    window = UniquenessWindow(r2=1.3, binding_constraint="quadratic",
+                              window_end_effective=1.3)
+    radii = [r for r, _ in deviation_limit_trace(ta, tb, window)]
+    assert len(radii) == 4
+    assert all(hi > lo for hi, lo in zip(radii, radii[1:]))
+
+
 def test_trace_monotonicity_flags_growth():
     # deviation growing toward r0
     ta, tb = _toy_pair(alpha=1e-3, shape=lambda r: 2.0 - r)
@@ -340,3 +358,31 @@ def test_a_grid_alone_skips_the_default_r_max(classical_model, monkeypatch):
     monkeypatch.setattr("streamuniq.verify.default_r_max", unused)
     grid = RadialGrid.geometric(1.0, 1.5, 513)
     assert run_uniqueness_analysis(classical_model, grid=grid).report.verdict
+
+
+def test_analysis_and_sweep_sample_the_law_once(classical_model, monkeypatch):
+    calls = []
+
+    def counting(model):
+        calls.append(model)
+        return validate_hypotheses(model)
+
+    # every module that looks the sampler up
+    for module in (streamuniq.verify, streamuniq.picard, streamuniq.rk):
+        monkeypatch.setattr(module, "validate_hypotheses", counting)
+    grid = RadialGrid.geometric(1.0, 1.5, 513)
+    run_uniqueness_analysis(classical_model, grid=grid)
+    assert calls == [classical_model]
+    continuity_sweep(classical_model, 1.0, [1.0, 1.001, 1.01], grid=grid)
+    assert calls == [classical_model, classical_model]
+
+
+def test_analysis_and_sweep_reject_a_failing_law():
+    zero = VorticityModel.custom(zero_vorticity, holder_C=1.0)
+    message = (r"^model failed hypothesis validation \(sign_margin=0\.0, holder_sup=0\.0, "
+               r"holder_C=1\.0\); only picard_solve and rk_solve can skip this check, "
+               r"with allow_unvalidated=True$")
+    with pytest.raises(ModelValidationError, match=message):
+        run_uniqueness_analysis(zero)
+    with pytest.raises(ModelValidationError, match=message):
+        continuity_sweep(zero, 1.0, [1.0, 1.01])

@@ -73,6 +73,8 @@ def test_oscillatory_constants_accept():
     (0.01, 0.02, "sin(c2/2)"),
     (math.sin(OSCILLATORY_C2_BOUND / 2.0), OSCILLATORY_C2_BOUND, "strictly"),
     (math.sin(0.015), 0.03, "strictly"),
+    # c1 = sin(c2/2) = 1 holds, but c2 = -3*pi lies below it
+    (math.sin(-1.5 * math.pi), -3.0 * math.pi, "need c1 < c2 strictly"),
 ])
 def test_oscillatory_constants_reject(c1, c2, fragment):
     with pytest.raises(ModelValidationError) as err:
@@ -90,8 +92,27 @@ def test_boundary_equality_is_rejected():
 def test_constructor_uses_validation():
     with pytest.raises(ModelValidationError):
         VorticityModel.oscillatory(c2=0.03)
+    with pytest.raises(ModelValidationError, match="^oscillatory constants must be finite$"):
+        VorticityModel.oscillatory(c2=math.nan)
     model = VorticityModel.oscillatory(c2=0.02)
     assert model.c1 == math.sin(0.01)
+
+
+def test_c1_is_derived_from_c2():
+    assert VorticityModel.oscillatory().c1 == math.sin(0.01)
+    assert VorticityModel.classical().c1 == 0.0
+    assert VorticityModel.custom(zero_vorticity, holder_C=1.0).c1 == 0.0
+    with pytest.raises(TypeError):
+        VorticityModel.oscillatory(c1=0.01)
+    # delta is keyword-only, so the old positional (c2, c1) call fails
+    with pytest.raises(TypeError):
+        VorticityModel.oscillatory(0.02, math.sin(0.01))
+    with pytest.raises(TypeError):
+        VorticityModel(kind="classical", delta=0.25, holder_C=1.0, c1=0.0)
+    # the direct constructor runs the constraint chain too: c2 = 0.5 is
+    # about 24 times its bound
+    with pytest.raises(ModelValidationError, match=r"^need c2 < "):
+        VorticityModel(kind="oscillatory", delta=0.25, holder_C=1.0, c2=0.5)
 
 
 def test_model_domain_errors():

@@ -10,13 +10,17 @@ digests:
   the report, the hypothesis report, the deviation trace, the Picard deltas,
   the RK diagnostics and the window, or the error an analysis raised;
 - the ``continuity_sweep`` rows of 8 sweep-fine cases;
-- the error ``rk_solve`` raises when the step size underflows;
+- the error ``rk_solve`` raises when the step size underflows, driven by
+  ``underflow_law`` below;
 - stdout, stderr, exit code and every artifact of a fixed set of
   ``python -m streamuniq`` command lines, each run in a fresh directory;
   the ``validate-model`` runs print the sampled hypothesis report, and the
   two custom laws without ``holder_c`` their automatic ``holder_C``;
   ``sweep-mixed`` mixes signs and repeats its baseline, so it covers the
-  sweep's reuse of a solved slope and its same-sign continuation.
+  sweep's reuse of a solved slope and its same-sign continuation;
+  ``integrate-rk-underflow`` runs ``underflow_law`` (the child imports it
+  from this script's directory), and ``verify-tol-zero`` pins which input
+  check answers ``--tol 0``.
 
 OUT.json holds one digest per line, so two trees compare with ``cmp`` and
 ``diff`` names the items that differ.  Needs only the standard library and
@@ -30,6 +34,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import os
 import subprocess
 import sys
@@ -86,12 +91,21 @@ def sweep_digests(out: dict) -> None:
         out[f"sweep/{i}"] = sha(repr([(float(d), float(s)) for d, s in rows]))
 
 
-def underflow_digest(out: dict) -> None:
-    from streamuniq import StepControl, StepSizeUnderflowError, VorticityModel, rk_solve
+def underflow_law(psi: float) -> float:
+    """The classical law plus 1e9 where |psi| > 0.3.
 
-    control = StepControl(h_init=0.05, h_min=0.05, h_max=0.05)
+    Validation samples only |psi| <= delta = 0.25, so the law passes it;
+    the RK step collapses where the solution crosses 0.3.
+    """
+    f = psi - psi / math.sqrt(abs(psi)) if psi != 0.0 else 0.0
+    return f + 1.0e9 if abs(psi) > 0.3 else f
+
+
+def underflow_digest(out: dict) -> None:
+    from streamuniq import StepSizeUnderflowError, VorticityModel, rk_solve
+
     try:
-        rk_solve(VorticityModel.classical(), 1.0, 1.0, 1.5, control=control)
+        rk_solve(VorticityModel.custom(underflow_law), 1.0, 1.0, 2.0)
     except StepSizeUnderflowError as exc:
         out["api/underflow"] = sha(repr((error_text(exc), exc.r_at)))
     else:
@@ -101,7 +115,7 @@ def underflow_digest(out: dict) -> None:
 ZERO_AUTO_C_INI = "[model]\nkind = custom\npath = streamuniq.vorticity:zero_vorticity\n"
 ZERO_INI = ZERO_AUTO_C_INI + "holder_c = 1.0\n"
 ROOT_AUTO_C_INI = "[model]\nkind = custom\npath = perfbench.workloads:odd_root_law\n"
-UNDERFLOW_INI = "[solver]\nmethod = rk\nh_init = 0.05\nh_min = 0.05\nh_max = 0.05\n"
+UNDERFLOW_INI = "[model]\nkind = custom\npath = digests:underflow_law\n"
 
 # (name, argv after "python -m streamuniq", config text or None); a config is
 # written to run.ini in the run directory and passed with --config
@@ -110,6 +124,7 @@ COMMANDS = (
     ("verify-4097-neg", ["verify", "--nodes", "4097", "--psi1", "-0.7"], None),
     ("verify-oscillatory-neg", ["verify", "--model", "oscillatory", "--psi1", "-1.3"], None),
     ("verify-zero", ["verify"], ZERO_INI),
+    ("verify-tol-zero", ["verify", "--tol", "0"], None),
     ("verify-1m", ["verify", "--nodes", "1048577", "--r-max", "1.5"], None),
     ("verify-1m-oscillatory-neg", ["verify", "--model", "oscillatory", "--psi1", "-1.3",
                                    "--nodes", "1048577", "--r-max", "1.5"], None),
@@ -117,7 +132,7 @@ COMMANDS = (
     ("integrate-picard-neg", ["integrate", "--method", "picard", "--psi1", "-0.8"], None),
     ("integrate-rk-pos", ["integrate", "--method", "rk", "--psi1", "0.8"], None),
     ("integrate-rk-neg", ["integrate", "--method", "rk", "--psi1", "-0.8"], None),
-    ("integrate-rk-underflow", ["integrate"], UNDERFLOW_INI),
+    ("integrate-rk-underflow", ["integrate", "--method", "rk"], UNDERFLOW_INI),
     ("integrate-window-collapse",
      ["integrate", "--psi1", "50", "--nodes", "5", "--r-max", "3"], None),
     ("sweep", ["sweep"], None),
@@ -130,8 +145,10 @@ COMMANDS = (
 
 
 def cli_digests(out: dict, tree: str) -> None:
-    # the tree itself is on the path for the perfbench law
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join([os.path.join(tree, "src"), tree]))
+    # the tree itself is on the path for the perfbench law, this script's
+    # directory for underflow_law
+    here = os.path.dirname(os.path.abspath(__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([os.path.join(tree, "src"), tree, here]))
     for name, argv, ini in COMMANDS:
         with tempfile.TemporaryDirectory() as run_dir:
             if ini is not None:
