@@ -310,9 +310,8 @@ def main(argv=None) -> int:
             return cmd_verify(cfg)
         if args.command == "sweep":
             return cmd_sweep(cfg)
-        if args.command == "validate-model":
-            return cmd_validate_model(cfg)
-        raise ConfigError(f"unknown command {args.command!r}")
+        # argparse's required subparsers admit no other command
+        return cmd_validate_model(cfg)
     except _CONFIG_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -144,8 +144,9 @@ def build_model(cfg: RunConfig) -> VorticityModel:
     if kind == "classical":
         return VorticityModel.classical(delta=cfg.delta)
     if kind == "oscillatory":
-        c2 = 0.02 if cfg.c2 is None else cfg.c2
-        return VorticityModel.oscillatory(c2=c2, delta=cfg.delta)
+        if cfg.c2 is None:
+            return VorticityModel.oscillatory(delta=cfg.delta)
+        return VorticityModel.oscillatory(c2=cfg.c2, delta=cfg.delta)
     if kind == "custom":
         if not cfg.custom_path:
             raise ConfigError("custom models need [model] path = pkg.module:function")

@@ -77,14 +77,19 @@ def weighted_norm(x, grid: RadialGrid) -> tuple[float, float]:
     the leftmost node.  Returns (value, r_at); an all-zero x gives (0, r_1).
     """
     x = np.asarray(x, dtype=np.float64)
-    lw = grid.log_weights
-    if x.shape != lw.shape:
+    if x.shape != grid.nodes.shape:
         raise DomainError("x must match the grid nodes")
     if x[0] != 0.0:
         raise DomainError("weighted norm needs x[0] == 0")
-    vals = np.abs(x[1:]) / lw[1:]
+    vals = _weighted(x, grid)
     i = int(np.argmax(vals))  # argmax returns the first maximizer
     return float(vals[i]), float(grid.nodes[i + 1])
+
+
+def _weighted(x: np.ndarray, grid: RadialGrid, stop: int | None = None) -> np.ndarray:
+    """|x_i| / ln(r_i/r0) for the interior nodes 1 <= i < stop (all of them
+    by default): the profile whose sup is the weighted norm."""
+    return np.abs(x[1:stop]) / grid.log_weights[1:stop]
 
 
 def _window_end(nodes: np.ndarray, psi: np.ndarray, delta: float) -> float:
@@ -194,27 +199,30 @@ def picard_solve(model: VorticityModel, r0: float, psi1: float, grid: RadialGrid
                                       diagnostics) from None
 
     _check_band(psi)
-    # diagnostics.iterations counts the iterates accepted so far, which is
-    # what a failure inside iteration k reports
-    for k in range(max_iter):
-        A, B = _vorticity_prefix(psi)
-        psi_next = m - (L * A - B)
-        if not np.all(np.isfinite(psi_next)):
-            raise NonConvergenceError("iterate turned non-finite", diagnostics)
-        _check_band(psi_next)
-        d = float(np.max(np.abs(psi_next[1:] - psi[1:]) / L[1:]))
-        deltas.append(d)
-        iterates.append(psi_next)
-        psi = psi_next
-        diagnostics.iterations = k + 1
-        if d <= tol:
-            break
-    else:
-        raise NonConvergenceError(
-            f"no convergence to {float(tol)!r} within {max_iter} iterations "
-            f"(last weighted delta {deltas[-1]!r})", diagnostics)
+    # each iterate is tested for finiteness, so overflow ends in NonConvergenceError
+    # without numpy warnings; a decorator's wrapper would keep the caller's start alive
+    with np.errstate(all="ignore"):
+        # diagnostics.iterations counts the iterates accepted so far, which is
+        # what a failure inside iteration k reports
+        for k in range(max_iter):
+            A, B = _vorticity_prefix(psi)
+            psi_next = m - (L * A - B)
+            if not np.all(np.isfinite(psi_next)):
+                raise NonConvergenceError("iterate turned non-finite", diagnostics)
+            _check_band(psi_next)
+            d = float(np.max(_weighted(psi_next - psi, grid)))
+            deltas.append(d)
+            iterates.append(psi_next)
+            psi = psi_next
+            diagnostics.iterations = k + 1
+            if d <= tol:
+                break
+        else:
+            raise NonConvergenceError(
+                f"no convergence to {float(tol)!r} within {max_iter} iterations "
+                f"(last weighted delta {deltas[-1]!r})", diagnostics)
 
-    A, _ = _vorticity_prefix(psi)
+        A, _ = _vorticity_prefix(psi)
     diagnostics.converged = True
     return _signed_trajectory(model, psi1, grid, psi, a - A, "picard"), diagnostics
 
@@ -231,5 +239,5 @@ def residual(model: VorticityModel, traj: Trajectory, weighted: bool = False) ->
     A, B = kernel_prefix(grid, values)
     defect = traj.psi - (traj.r0psi1 * L - (L * A - B))
     if weighted:
-        return float(np.max(np.abs(defect[1:]) / L[1:]))
+        return float(np.max(_weighted(defect, grid)))
     return float(np.max(np.abs(defect)))

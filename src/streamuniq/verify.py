@@ -23,14 +23,14 @@ depends on which solver produced them beyond a shared grid.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
 from .errors import ContractionViolationError, DomainError, WindowCollapseError
 from .grids import RadialGrid, check_r0
-from .picard import (PicardDiagnostics, Trajectory, _require_valid, check_psi1, picard_solve,
-                     residual, weighted_norm)
+from .picard import (PicardDiagnostics, Trajectory, _require_valid, _weighted, check_psi1,
+                     picard_solve, residual, weighted_norm)
 from .rk import RKDiagnostics, StepControl, rk_solve
 from .vorticity import HypothesisReport, VorticityModel, validate_hypotheses
 
@@ -53,27 +53,11 @@ _PREDICTION_GAIN_MAX = 1.0e4
 
 
 @dataclass(frozen=True)
-class UniquenessWindow:
-    """Radius up to which the contraction argument is certified.
-
-    binding_constraint records which cap produced r2: "log" for
-    r0*exp(1 - 1e-9), "quadratic" for sqrt(r0^2 + sqrt(r0*psi1)/C).
-    window_end_effective additionally respects where computed trajectories
-    leave the admissibility band.
-    """
-
-    r2: float
-    binding_constraint: str
-    window_end_effective: float
-
-    def clipped(self, window_end: float) -> "UniquenessWindow":
-        return replace(self, window_end_effective=min(self.window_end_effective, window_end))
-
-
-@dataclass(frozen=True)
 class UniquenessReport:
     """Outcome of the full cross-method certification run.
 
+    window_end_effective is r2, or the earlier of the two trajectories' band
+    exits if that comes first; every check reads the window up to it.
     checks holds (name, passed) for lower_bound, contraction and
     cross_method, in that order; the verdict is their conjunction.
     """
@@ -106,7 +90,6 @@ class AnalysisResult:
     """Report plus every artifact the certification consumed."""
 
     report: UniquenessReport
-    window: UniquenessWindow
     hypothesis: HypothesisReport
     traj_picard: Trajectory
     traj_rk: Trajectory
@@ -114,8 +97,13 @@ class AnalysisResult:
     rk_diagnostics: RKDiagnostics
 
 
-def compute_r2(r0: float, psi1: float, holder_C: float) -> UniquenessWindow:
-    """Certified window radius r2 = min(log cap, quadratic cap)."""
+def compute_r2(r0: float, psi1: float, holder_C: float) -> tuple[float, str]:
+    """Certified window radius r2 = min(log cap, quadratic cap).
+
+    Returns (r2, binding_constraint), where binding_constraint records which
+    cap produced r2: "log" for r0*exp(1 - 1e-9), "quadratic" for
+    sqrt(r0^2 + sqrt(r0*psi1)/C).
+    """
     check_r0(r0)
     if not (np.isfinite(psi1) and psi1 > 0.0):
         raise DomainError("psi1 must be positive; reflect the problem first")
@@ -124,31 +112,31 @@ def compute_r2(r0: float, psi1: float, holder_C: float) -> UniquenessWindow:
     log_cap = r0 * math.exp(1.0 - _LOG_CAP_MARGIN)
     quad_cap = math.sqrt(r0 * r0 + math.sqrt(r0 * psi1) / holder_C)
     if quad_cap <= log_cap:
-        return UniquenessWindow(r2=quad_cap, binding_constraint=BINDING_QUADRATIC,
-                                window_end_effective=quad_cap)
-    return UniquenessWindow(r2=log_cap, binding_constraint=BINDING_LOG,
-                            window_end_effective=log_cap)
+        return quad_cap, BINDING_QUADRATIC
+    return log_cap, BINDING_LOG
 
 
-def _window_slice(grid: RadialGrid, window: UniquenessWindow) -> slice:
-    iw = grid.index_at(window.window_end_effective)
+def _window_stop(grid: RadialGrid, window_end: float) -> int:
+    """One past the last node at or left of window_end; the window's
+    interior nodes are [1:stop]."""
+    iw = grid.index_at(window_end)
     if iw < 1:
         raise WindowCollapseError("certification window contains no interior node; "
                                   "refine the grid near r0")
-    return slice(1, iw + 1)
+    return iw + 1
 
 
-def check_lower_bound(traj: Trajectory, window: UniquenessWindow) -> float:
+def check_lower_bound(traj: Trajectory, window_end: float) -> float:
     """min over window nodes of sign*psi - r0*|psi1|*ln(r/r0).
 
     Nonnegative (within discretization) when the solution dominates the
     logarithmic term, which the contraction argument requires.
     """
-    sl = _window_slice(traj.grid, window)
+    stop = _window_stop(traj.grid, window_end)
     a = abs(traj.r0psi1)
     sign = 1.0 if traj.r0psi1 > 0.0 else -1.0
-    m = a * traj.grid.log_weights[sl]
-    return float(np.min(sign * traj.psi[sl] - m))
+    m = a * traj.grid.log_weights[1:stop]
+    return float(np.min(sign * traj.psi[1:stop] - m))
 
 
 def _paired_deviation(traj_a: Trajectory, traj_b: Trajectory) -> np.ndarray:
@@ -162,19 +150,19 @@ def _paired_deviation(traj_a: Trajectory, traj_b: Trajectory) -> np.ndarray:
 
 
 def deviation_limit_trace(traj_a: Trajectory, traj_b: Trajectory,
-                          window: UniquenessWindow) -> list[tuple[float, float]]:
+                          window_end: float) -> list[tuple[float, float]]:
     """Sample y(r) = |psi_a - psi_b| / ln(r/r0) on radii halving toward r0.
 
     Probe targets are r0 + span * 2^-j for j = 0..11 (span measured to the
-    effective window end), snapped to the nearest interior grid node and
+    window end), snapped to the nearest interior grid node and
     deduplicated.  Returned in decreasing r, i.e. walking toward r0.
     """
     x = _paired_deviation(traj_a, traj_b)
     nodes = traj_a.grid.nodes
-    lw = traj_a.grid.log_weights
-    span = window.window_end_effective - traj_a.r0
+    span = window_end - traj_a.r0
     if span <= 0.0:
         raise WindowCollapseError("certification window is empty; refine the grid near r0")
+    y = _weighted(x, traj_a.grid)
     out: list[tuple[float, float]] = []
     seen = set()
     for j in range(12):
@@ -188,7 +176,7 @@ def deviation_limit_trace(traj_a: Trajectory, traj_b: Trajectory,
         if i in seen:
             continue
         seen.add(i)
-        out.append((float(nodes[i]), float(abs(x[i]) / lw[i])))
+        out.append((float(nodes[i]), float(y[i - 1])))
     return out
 
 
@@ -203,7 +191,7 @@ def trace_is_monotone(trace: list[tuple[float, float]], slack: float) -> bool:
 
 
 def contraction_probe(model: VorticityModel, traj_a: Trajectory, traj_b: Trajectory,
-                      window: UniquenessWindow, slack: float = 0.0) -> float:
+                      window_end: float, slack: float = 0.0) -> float:
     """Check y(r) <= (C/sqrt(r0*psi1)) * int_{r0}^{r} tau*y dtau + slack nodewise.
 
     The integral is the plain trapezoid of tau*y(tau) (y extended by its
@@ -218,20 +206,18 @@ def contraction_probe(model: VorticityModel, traj_a: Trajectory, traj_b: Traject
     """
     if slack < 0.0 or not np.isfinite(slack):
         raise DomainError("slack must be a finite nonnegative number")
-    pre_a = check_lower_bound(traj_a, window)
-    pre_b = check_lower_bound(traj_b, window)
+    pre_a = check_lower_bound(traj_a, window_end)
+    pre_b = check_lower_bound(traj_b, window_end)
     floor = -(LOWER_BOUND_TOL + slack)
     if pre_a < floor or pre_b < floor:
         raise DomainError(
             f"lower-bound precondition violated (margins {pre_a!r}, {pre_b!r}); "
             "the contraction argument does not apply")
     x = _paired_deviation(traj_a, traj_b)
-    sl = _window_slice(traj_a.grid, window)
+    stop = _window_stop(traj_a.grid, window_end)
     nodes = traj_a.grid.nodes
-    lw = traj_a.grid.log_weights
-    stop = sl.stop
     y = np.zeros(stop, dtype=np.float64)
-    y[1:] = np.abs(x[1:stop]) / lw[1:stop]
+    y[1:] = _weighted(x, traj_a.grid, stop)
     g = nodes[:stop] * y
     h = np.diff(nodes[:stop])
     integral = np.concatenate(([0.0], np.cumsum(0.5 * h * (g[1:] + g[:-1]))))
@@ -251,25 +237,22 @@ def contraction_probe(model: VorticityModel, traj_a: Trajectory, traj_b: Traject
 
 
 def window_restricted_delta_ratios(diagnostics: PicardDiagnostics, grid: RadialGrid,
-                                   window: UniquenessWindow) -> list[float]:
+                                   window_end: float) -> list[float]:
     """Consecutive ratios of weighted fixed-point deltas inside the window.
 
     Ratios are only formed while the denominator delta sits above 1e-14;
     below that the deltas measure roundoff, not contraction.
     """
-    sl = _window_slice(grid, window)
-    lw = grid.log_weights
-    deltas = []
-    for prev, cur in zip(diagnostics.iterates, diagnostics.iterates[1:]):
-        d = np.abs(cur[sl] - prev[sl]) / lw[sl]
-        deltas.append(float(d.max()))
+    stop = _window_stop(grid, window_end)
+    deltas = [float(_weighted(cur[:stop] - prev[:stop], grid, stop).max())
+              for prev, cur in zip(diagnostics.iterates, diagnostics.iterates[1:])]
     return [b / a for a, b in zip(deltas, deltas[1:]) if a > 1.0e-14]
 
 
 def default_r_max(model: VorticityModel, r0: float, psi1: float) -> float:
     """Right endpoint used when none is given: r0 + 1.25*(r2 - r0)."""
     check_psi1(psi1)
-    r2 = compute_r2(r0, abs(psi1), model.holder_C).r2
+    r2, _ = compute_r2(r0, abs(psi1), model.holder_C)
     return r0 + 1.25 * (r2 - r0)
 
 
@@ -295,7 +278,7 @@ def run_uniqueness_analysis(model: VorticityModel, r0: float = 1.0, psi1: float 
     check_psi1(psi1)
     _require_grid_end(grid, r_max)
     hypothesis = validate_hypotheses(model)
-    window0 = compute_r2(r0, abs(psi1), model.holder_C)
+    r2, binding = compute_r2(r0, abs(psi1), model.holder_C)
     if grid is None:
         if r_max is None:
             r_max = default_r_max(model, r0, psi1)
@@ -308,27 +291,26 @@ def run_uniqueness_analysis(model: VorticityModel, r0: float = 1.0, psi1: float 
     traj_rk, diag_rk = rk_solve(model, r0, psi1, grid.r_max, control=control,
                                 output_grid=grid, allow_unvalidated=True)
 
-    window = window0.clipped(min(traj_p.window_end, traj_rk.window_end))
+    window_end = min(r2, min(traj_p.window_end, traj_rk.window_end))
 
     rk_defect_w = residual(model, traj_rk, weighted=True)
     slack = 10.0 * (picard_tol + control.rel_tol) + 3.0 * rk_defect_w
 
-    margin = min(check_lower_bound(traj_p, window), check_lower_bound(traj_rk, window))
+    margin = min(check_lower_bound(traj_p, window_end), check_lower_bound(traj_rk, window_end))
 
-    ratios = window_restricted_delta_ratios(diag_p, grid, window)
+    ratios = window_restricted_delta_ratios(diag_p, grid, window_end)
     contraction_ratio = max(ratios) if ratios else 0.0
 
-    sl = _window_slice(grid, window)
-    dev = np.abs(traj_p.psi[sl] - traj_rk.psi[sl]) / grid.log_weights[sl]
-    cross_sup = float(dev.max())
+    stop = _window_stop(grid, window_end)
+    cross_sup = float(_weighted(traj_p.psi[:stop] - traj_rk.psi[:stop], grid, stop).max())
 
-    probe_ratio = contraction_probe(model, traj_p, traj_rk, window, slack=slack)
-    trace = deviation_limit_trace(traj_p, traj_rk, window)
+    probe_ratio = contraction_probe(model, traj_p, traj_rk, window_end, slack=slack)
+    trace = deviation_limit_trace(traj_p, traj_rk, window_end)
 
     report = UniquenessReport(
-        r2=window.r2,
-        binding_constraint=window.binding_constraint,
-        window_end_effective=window.window_end_effective,
+        r2=r2,
+        binding_constraint=binding,
+        window_end_effective=window_end,
         lower_bound_margin=margin,
         contraction_ratio=contraction_ratio,
         probe_ratio=probe_ratio,
@@ -339,7 +321,7 @@ def run_uniqueness_analysis(model: VorticityModel, r0: float = 1.0, psi1: float 
                 ("contraction", contraction_ratio <= CONTRACTION_RATIO_MAX),
                 ("cross_method", cross_sup <= CROSS_METHOD_SUP_MAX)),
     )
-    return AnalysisResult(report=report, window=window, hypothesis=hypothesis,
+    return AnalysisResult(report=report, hypothesis=hypothesis,
                           traj_picard=traj_p, traj_rk=traj_rk,
                           picard_diagnostics=diag_p, rk_diagnostics=diag_rk)
 

@@ -29,6 +29,13 @@ OSCILLATORY_C2_BOUND = (17.0 * math.sqrt(2.0) - 24.0) / 2.0
 _EQ_RTOL = 1.0e-12  # equality within this relative tolerance counts as a tie
 
 
+def check_delta(delta: float) -> None:
+    """The band rule of every model, checked before any constant is derived
+    from delta: 0 < delta <= 0.25."""
+    if not (0.0 < delta <= 0.25):
+        raise DomainError("delta must lie in (0, 0.25]")
+
+
 def zero_vorticity(psi: float) -> float:
     """Identically zero law; useful for calibration runs (fails the sign check)."""
     return 0.0
@@ -65,8 +72,7 @@ class VorticityModel:
         object.__setattr__(self, "c1", math.sin(self.c2 / 2.0))
         if self.kind == "oscillatory":
             validate_oscillatory_constants(self.c1, self.c2)
-        if not (0.0 < self.delta <= 0.25):
-            raise DomainError("delta must lie in (0, 0.25]")
+        check_delta(self.delta)
         if not (np.isfinite(self.holder_C) and self.holder_C > 0.0):
             raise DomainError("holder_C must be finite and positive")
         if self.kind == "custom" and self.fn is None:
@@ -80,6 +86,7 @@ class VorticityModel:
         so holder_C = sqrt(delta) + 1/2 is always admissible.  It is not
         sharp: the sampled supremum of the weighted quotient is 1/2.
         """
+        check_delta(delta)
         return cls(kind="classical", delta=delta, holder_C=math.sqrt(delta) + 0.5)
 
     @classmethod
@@ -89,6 +96,7 @@ class VorticityModel:
         The constant below adds the modulation's Lipschitz contribution
         (2*c2*delta^2) to the classical bound.
         """
+        check_delta(delta)
         c1 = math.sin(c2 / 2.0)
         holder_C = math.sqrt(delta) + 0.5 * (1.0 + c1) + 2.0 * c2 * delta * delta
         return cls(kind="oscillatory", delta=delta, holder_C=holder_C, c2=c2)

@@ -90,7 +90,7 @@ def test_criterion_5_certified_window(classical_analysis):
     ratios = window_restricted_delta_ratios(
         classical_analysis.picard_diagnostics,
         classical_analysis.traj_picard.grid,
-        classical_analysis.window)
+        classical_analysis.report.window_end_effective)
     worst = max(ratios) if ratios else 0.0
     ok = (abs(rep.r2 - SQRT2) <= 1e-12
           and rep.binding_constraint == "quadratic"

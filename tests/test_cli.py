@@ -466,6 +466,16 @@ def test_removed_config_keys_exit_two(tmp_path, capsys, text, key, section):
     assert capsys.readouterr().err == f"error: unknown key {key!r} in section [{section}]\n"
 
 
+@pytest.mark.parametrize("command", ["validate-model", "verify"])
+@pytest.mark.parametrize("kind", ["classical", "oscillatory"])
+def test_negative_delta_exits_two(tmp_path, capsys, command, kind):
+    cfgfile = tmp_path / "run.ini"
+    cfgfile.write_text(f"[model]\nkind = {kind}\ndelta = -1\n", encoding="utf-8")
+    assert main([command, "--config", str(cfgfile), "--out", str(tmp_path / "x")]) == 2
+    assert capsys.readouterr().err == "error: delta must lie in (0, 0.25]\n"
+    assert not (tmp_path / "x").exists()
+
+
 LAWS = """
 import math
 
@@ -484,6 +494,14 @@ def steep_beyond_the_band(psi):
     return f + 1.0e9 if abs(psi) > 0.3 else f
 
 
+def huge_beyond_the_band(psi):
+    # the classical law, and 1e308 beyond |psi| = 0.3: a Picard iterate
+    # that leaves the band overflows the prefix moments
+    if abs(psi) > 0.3:
+        return 1.0e308
+    return psi - psi / math.sqrt(abs(psi)) if psi != 0.0 else 0.0
+
+
 def infinite_near_zero(psi):
     if 0.0 < abs(psi) < 1e-3:
         return math.inf
@@ -491,10 +509,11 @@ def infinite_near_zero(psi):
 """
 
 
-def _run_with_law(tmp_path, argv, law):
+def _run_with_law(tmp_path, argv, law, holder_c=2.0):
     (tmp_path / "laws.py").write_text(LAWS, encoding="utf-8")
     (tmp_path / "run.ini").write_text(
-        f"[model]\nkind = custom\npath = laws:{law}\nholder_c = 2.0\n", encoding="utf-8")
+        f"[model]\nkind = custom\npath = laws:{law}\nholder_c = {holder_c}\n",
+        encoding="utf-8")
     src = os.path.dirname(os.path.dirname(streamuniq.__file__))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, str(tmp_path)]))
     env.pop("PYTHONWARNINGS", None)
@@ -507,6 +526,15 @@ def test_law_overflowing_beyond_the_band_prints_only_the_solver_failure(tmp_path
     assert proc.returncode == 3
     assert proc.stdout == ""
     assert proc.stderr == "solver failure: state turned non-finite at r = 1.3233539556477727\n"
+
+
+@pytest.mark.parametrize("argv", [["integrate", "--method", "picard"], ["verify"]])
+def test_law_overflowing_in_picard_prints_only_the_solver_failure(tmp_path, argv):
+    # holder_c = 1.0 puts r_max where the Picard iterate passes |psi| = 0.3
+    proc = _run_with_law(tmp_path, argv, "huge_beyond_the_band", holder_c=1.0)
+    assert proc.returncode == 3
+    assert proc.stdout == ""
+    assert proc.stderr == "solver failure: iterate turned non-finite\n"
 
 
 def test_law_not_finite_on_the_band_prints_only_the_validation_error(tmp_path):

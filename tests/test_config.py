@@ -5,7 +5,7 @@ from dataclasses import fields, replace
 
 import pytest
 
-from streamuniq import ConfigError, DomainError
+from streamuniq import ConfigError, DomainError, VorticityModel
 from streamuniq.config import (_KEYS, RunConfig, build_control, build_grid, build_model,
                                load_config, parse_float_list)
 
@@ -117,6 +117,14 @@ def test_build_model_kinds():
         build_model(RunConfig(model_kind="custom"))
     with pytest.raises(ConfigError):
         build_model(RunConfig(model_kind="mystery"))
+
+
+def test_oscillatory_c2_default_lives_in_the_factory(monkeypatch):
+    # a config without c2 gets whatever oscillatory() defaults to
+    monkeypatch.setattr(VorticityModel.oscillatory.__func__, "__defaults__", (0.01,))
+    model = build_model(RunConfig(model_kind="oscillatory"))
+    assert model.c2 == 0.01
+    assert build_model(RunConfig(model_kind="oscillatory", c2=0.015)).c2 == 0.015
 
 
 @pytest.mark.parametrize("path,fragment", [

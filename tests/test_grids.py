@@ -131,6 +131,13 @@ def test_geometric_invalid_ratio():
             RadialGrid.geometric(1.0, 2.0, 9, ratio=ratio)
 
 
+def test_repr_names_the_grid():
+    assert repr(RadialGrid.uniform(1.0, 2.0, 5)) == (
+        "RadialGrid(kind='uniform', n=5, r0=1.0, r_max=2.0, ratio=None)")
+    assert repr(RadialGrid.geometric(1.0, 1.5, 9, ratio=0.5)) == (
+        "RadialGrid(kind='geometric', n=9, r0=1.0, r_max=1.5, ratio=0.5)")
+
+
 def test_validate_roundtrip():
     grid = RadialGrid.geometric(1.0, 2.0, 65, ratio=0.95)
     # the constructor's checks accept the nodes of a built grid as given

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -114,6 +116,16 @@ def test_non_finite_iterate_detected():
     grid = RadialGrid.geometric(1.0, 1.5, 257)
     with pytest.raises(NonConvergenceError, match="non-finite"):
         picard_solve(blowup, 1.0, 1.0, grid, allow_unvalidated=True)
+
+
+def test_overflowing_moments_are_non_convergence_without_warnings():
+    # 1e308 is finite, but its differences overflow inside the prefix moments
+    huge = VorticityModel.custom(lambda p: 1.0e308 if p > 0.3 else -p, holder_C=1.0)
+    grid = RadialGrid.geometric(1.0, 2.0, 2049)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NonConvergenceError, match="^iterate turned non-finite$"):
+            picard_solve(huge, 1.0, 1.0, grid, allow_unvalidated=True)
 
 
 def test_vorticity_overflow_is_non_convergence_at_either_call_site():

@@ -8,8 +8,8 @@ from streamuniq import (ContractionViolationError, DomainError, ModelValidationE
                         VorticityModel, WindowCollapseError, continuity_sweep, picard_solve,
                         run_uniqueness_analysis, validate_hypotheses, weighted_norm)
 from streamuniq.picard import Trajectory
-from streamuniq.verify import (UniquenessWindow, check_lower_bound, compute_r2,
-                               contraction_probe, deviation_limit_trace, trace_is_monotone,
+from streamuniq.verify import (check_lower_bound, compute_r2, contraction_probe,
+                               deviation_limit_trace, trace_is_monotone,
                                window_restricted_delta_ratios)
 from streamuniq.vorticity import zero_vorticity
 
@@ -22,10 +22,9 @@ SQRT2 = 1.4142135623730951
     (1.0, 1.0, 0.01, 2.7182818257407635, "log"),
 ])
 def test_compute_r2(r0, psi1, C, r2, binding):
-    window = compute_r2(r0, psi1, C)
-    np.testing.assert_allclose(window.r2, r2, rtol=0, atol=1e-12)
-    assert window.binding_constraint == binding
-    assert window.window_end_effective == window.r2
+    got_r2, got_binding = compute_r2(r0, psi1, C)
+    np.testing.assert_allclose(got_r2, r2, rtol=0, atol=1e-12)
+    assert got_binding == binding
 
 
 def test_compute_r2_rejects_bad_arguments():
@@ -37,13 +36,16 @@ def test_compute_r2_rejects_bad_arguments():
         compute_r2(1.0, 1.0, 0.0)
 
 
-def test_window_clipping():
-    window = compute_r2(1.0, 1.0, 1.0)
-    clipped = window.clipped(1.2)
-    assert clipped.window_end_effective == 1.2
-    assert clipped.r2 == window.r2
-    # clipping beyond the cap is a no-op
-    assert window.clipped(2.0).window_end_effective == window.r2
+def test_window_end_reaches_r2(classical_model):
+    # psi1 = 0.1 keeps both trajectories inside (0, delta] past r2, so the
+    # window ends at r2 itself (TestClassicalAnalysis pins an earlier end)
+    res = run_uniqueness_analysis(classical_model, psi1=0.1)
+    rep = res.report
+    assert res.traj_picard.window_end > rep.r2
+    assert res.traj_rk.window_end > rep.r2
+    assert rep.window_end_effective == rep.r2
+    np.testing.assert_allclose(rep.r2, np.sqrt(1.0 + np.sqrt(0.1)), rtol=1e-12)
+    assert rep.verdict
 
 
 class TestClassicalAnalysis:
@@ -99,7 +101,7 @@ class TestClassicalAnalysis:
         ratios = window_restricted_delta_ratios(
             classical_analysis.picard_diagnostics,
             classical_analysis.traj_picard.grid,
-            classical_analysis.window)
+            classical_analysis.report.window_end_effective)
         assert ratios
         assert max(ratios) <= 0.55
 
@@ -160,22 +162,18 @@ def _toy_pair(alpha=0.0, shape=None, n=4097):
 
 def test_check_lower_bound_exact_cases():
     ta, _ = _toy_pair()
-    window = UniquenessWindow(r2=2.0, binding_constraint="quadratic",
-                              window_end_effective=2.0)
     # psi = 0.3*L with slope u0 = 0.3 sits exactly on the logarithmic bound
-    assert check_lower_bound(ta, window) == 0.0
+    assert check_lower_bound(ta, 2.0) == 0.0
     low = Trajectory(grid=ta.grid, psi=0.99 * ta.psi, u=ta.u, window_end=2.0,
                      method_tag="picard")
-    assert check_lower_bound(low, window) < 0.0
+    assert check_lower_bound(low, 2.0) < 0.0
 
 
 def test_deviation_trace_synthetic_oracle():
     # deviation alpha*L*(r-1) gives weighted value alpha*(r-1) exactly
     alpha = 1e-3
     ta, tb = _toy_pair(alpha=alpha, shape=lambda r: r - 1.0)
-    window = UniquenessWindow(r2=2.0, binding_constraint="quadratic",
-                              window_end_effective=2.0)
-    trace = deviation_limit_trace(ta, tb, window)
+    trace = deviation_limit_trace(ta, tb, 2.0)
     assert len(trace) == 12
     for r, y in trace:
         np.testing.assert_allclose(y, alpha * (r - 1.0), rtol=1e-10)
@@ -190,19 +188,24 @@ def test_deviation_trace_drops_repeated_nodes():
     ta = Trajectory(grid=grid, psi=0.3 * L, u=u, window_end=1.3, method_tag="picard")
     tb = Trajectory(grid=grid, psi=0.3 * L + 1e-3 * L * (grid.nodes - 1.0), u=u.copy(),
                     window_end=1.3, method_tag="rk")
-    window = UniquenessWindow(r2=1.3, binding_constraint="quadratic",
-                              window_end_effective=1.3)
-    radii = [r for r, _ in deviation_limit_trace(ta, tb, window)]
+    radii = [r for r, _ in deviation_limit_trace(ta, tb, 1.3)]
     assert len(radii) == 4
     assert all(hi > lo for hi, lo in zip(radii, radii[1:]))
+
+
+def test_deviation_trace_clamps_to_the_last_node():
+    # a window end past the grid snaps the first target to the last node
+    ta, tb = _toy_pair(alpha=1e-3, shape=lambda r: r - 1.0, n=33)
+    trace = deviation_limit_trace(ta, tb, 3.0)
+    r, y = trace[0]
+    assert r == ta.nodes[-1]
+    np.testing.assert_allclose(y, 1e-3 * (r - 1.0), rtol=1e-10)
 
 
 def test_trace_monotonicity_flags_growth():
     # deviation growing toward r0
     ta, tb = _toy_pair(alpha=1e-3, shape=lambda r: 2.0 - r)
-    window = UniquenessWindow(r2=2.0, binding_constraint="quadratic",
-                              window_end_effective=2.0)
-    trace = deviation_limit_trace(ta, tb, window)
+    trace = deviation_limit_trace(ta, tb, 2.0)
     assert not trace_is_monotone(trace, 0.0)
     assert trace_is_monotone(trace, 1e-3)
     with pytest.raises(DomainError):
@@ -211,63 +214,53 @@ def test_trace_monotonicity_flags_growth():
 
 def test_pair_must_share_grid_and_slope():
     ta, tb = _toy_pair(alpha=1e-3)
-    window = UniquenessWindow(r2=2.0, binding_constraint="quadratic",
-                              window_end_effective=2.0)
     other = RadialGrid.uniform(1.0, 2.0, 33)
     foreign = Trajectory(grid=other, psi=0.3 * other.log_weights,
                          u=np.full(33, 0.3), window_end=2.0, method_tag="rk")
     with pytest.raises(DomainError, match="share one grid"):
-        deviation_limit_trace(ta, foreign, window)
+        deviation_limit_trace(ta, foreign, 2.0)
     tilted = Trajectory(grid=ta.grid, psi=tb.psi, u=tb.u * 2.0, window_end=2.0,
                         method_tag="rk")
     with pytest.raises(DomainError, match="initial slope"):
-        deviation_limit_trace(ta, tilted, window)
+        deviation_limit_trace(ta, tilted, 2.0)
 
 
 def test_contraction_probe_flags_constant_deviation():
     # y(r) = alpha cannot satisfy y <= coeff * int tau*y near r0, where the
     # integral vanishes; the first interior node must violate
     ta, tb = _toy_pair(alpha=1e-6)
-    window = UniquenessWindow(r2=2.0, binding_constraint="quadratic",
-                              window_end_effective=2.0)
     model = VorticityModel.classical()
     with pytest.raises(ContractionViolationError) as err:
-        contraction_probe(model, ta, tb, window, slack=0.0)
+        contraction_probe(model, ta, tb, 2.0, slack=0.0)
     assert err.value.r_at == ta.nodes[1]
     assert err.value.excess > 0.0
     # enough slack absorbs the whole deviation scale
-    ratio = contraction_probe(model, ta, tb, window, slack=1e-5)
+    ratio = contraction_probe(model, ta, tb, 2.0, slack=1e-5)
     assert ratio > 0.0
 
 
 def test_contraction_probe_coincident_pair():
     ta, tb = _toy_pair(alpha=0.0)
-    window = UniquenessWindow(r2=2.0, binding_constraint="quadratic",
-                              window_end_effective=2.0)
-    assert contraction_probe(VorticityModel.classical(), ta, tb, window) == 0.0
+    assert contraction_probe(VorticityModel.classical(), ta, tb, 2.0) == 0.0
 
 
 def test_window_without_interior_node_collapses():
     ta, tb = _toy_pair(alpha=0.0)
-    empty = UniquenessWindow(r2=2.0, binding_constraint="quadratic",
-                             window_end_effective=ta.r0)
     with pytest.raises(WindowCollapseError, match="refine the grid"):
-        check_lower_bound(ta, empty)
+        check_lower_bound(ta, ta.r0)
     with pytest.raises(WindowCollapseError, match="refine the grid"):
-        deviation_limit_trace(ta, tb, empty)
+        deviation_limit_trace(ta, tb, ta.r0)
 
 
 def test_contraction_probe_guards():
     ta, tb = _toy_pair(alpha=0.0)
-    window = UniquenessWindow(r2=2.0, binding_constraint="quadratic",
-                              window_end_effective=2.0)
     model = VorticityModel.classical()
     with pytest.raises(DomainError, match="slack"):
-        contraction_probe(model, ta, tb, window, slack=-1.0)
+        contraction_probe(model, ta, tb, 2.0, slack=-1.0)
     low = Trajectory(grid=ta.grid, psi=0.9 * ta.psi, u=ta.u, window_end=2.0,
                      method_tag="picard")
     with pytest.raises(DomainError, match="precondition"):
-        contraction_probe(model, low, low, window)
+        contraction_probe(model, low, low, 2.0)
 
 
 def test_continuity_sweep_small():

@@ -126,6 +126,14 @@ def test_model_domain_errors():
         VorticityModel(kind="custom", delta=0.25, holder_C=1.0)
 
 
+@pytest.mark.parametrize("factory", [VorticityModel.classical, VorticityModel.oscillatory])
+@pytest.mark.parametrize("delta", [-1.0, 0.0, 0.3, math.nan])
+def test_factories_check_delta_before_deriving_constants(factory, delta):
+    # both factories take sqrt(delta) for holder_C; the band rule comes first
+    with pytest.raises(DomainError, match=r"^delta must lie in \(0, 0\.25\]$"):
+        factory(delta=delta)
+
+
 def test_sign_condition_classical(classical_model):
     report = validate_hypotheses(classical_model)
     assert report.checks == (("sign_condition", True), ("holder_bound", True))

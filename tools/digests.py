@@ -8,7 +8,9 @@ digests:
 
 - the 256 cert-batch analyses (seeds 0 and 1): Picard and RK ``psi``/``u``,
   the report, the hypothesis report, the deviation trace, the Picard deltas,
-  the RK diagnostics and the window, or the error an analysis raised;
+  the RK diagnostics and the window (the report's ``r2``, binding
+  constraint and effective end, and each trajectory's band exit), or the
+  error an analysis raised;
 - the ``continuity_sweep`` rows of 8 sweep-fine cases;
 - the error ``rk_solve`` raises when the step size underflows, driven by
   ``underflow_law`` below;
@@ -77,7 +79,9 @@ def cert_digests(out: dict) -> None:
             out[key + "/picard_deltas"] = sha(repr((dp.iterations, dp.converged,
                                                     dp.weighted_deltas)))
             out[key + "/rk_diagnostics"] = sha(repr(drk))
-            out[key + "/window"] = sha(repr((res.window, res.traj_picard.window_end,
+            out[key + "/window"] = sha(repr((rep.r2, rep.binding_constraint,
+                                             rep.window_end_effective,
+                                             res.traj_picard.window_end,
                                              res.traj_rk.window_end)))
 
 
