@@ -12,9 +12,8 @@ The top level exports the Python API that README documents, the type of its
 from its module (``streamuniq.verify.compute_r2`` and so on).
 """
 
-from .errors import (ConfigError, ContractionViolationError, DomainError,
-                     ModelValidationError, NonConvergenceError, StepSizeUnderflowError,
-                     StreamuniqError, WindowCollapseError)
+from .errors import (ConfigError, DomainError, ModelValidationError, NonConvergenceError,
+                     StepSizeUnderflowError, StreamuniqError, WindowCollapseError)
 from .grids import RadialGrid
 from .picard import picard_solve, weighted_norm
 from .quadrature import kernel_integral_all, kernel_prefix
@@ -26,7 +25,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "ConfigError",
-    "ContractionViolationError",
     "DomainError",
     "ModelValidationError",
     "NonConvergenceError",

@@ -19,9 +19,8 @@ import numpy as np
 
 from . import config as cfgmod
 from ._csvtext import format_table
-from .errors import (ConfigError, ContractionViolationError, DomainError,
-                     ModelValidationError, NonConvergenceError, StepSizeUnderflowError,
-                     StreamuniqError, WindowCollapseError)
+from .errors import (ConfigError, DomainError, ModelValidationError, NonConvergenceError,
+                     StepSizeUnderflowError, StreamuniqError, WindowCollapseError)
 from .picard import picard_solve
 from .rk import rk_solve
 from .svgplot import line_plot
@@ -215,31 +214,25 @@ def _write_certificate(out: str, model, result) -> None:
 
 
 def cmd_verify(cfg: cfgmod.RunConfig) -> int:
-    """Print hypothesis.checks then report.checks; exit 0 only if all pass."""
+    """Print hypothesis.checks then report.checks; exit 0 only if all pass.
+
+    Once the hypotheses pass, the artifacts are written, failed checks or not.
+    """
     model = cfgmod.build_model(cfg)
     hypothesis = validate_hypotheses(model)
     checks = list(hypothesis.checks)
-    violation = None
     if hypothesis.verdict:
         r_max = cfg.r_max if cfg.r_max is not None else default_r_max(model, cfg.r0, cfg.psi1)
         grid = cfgmod.build_grid(cfg, cfg.r0, r_max)
-        try:
-            result = run_uniqueness_analysis(
-                model, r0=cfg.r0, psi1=cfg.psi1, r_max=r_max, grid=grid,
-                picard_tol=cfg.tol, picard_max_iter=cfg.max_iter,
-                control=cfgmod.build_control(cfg))
-        except ContractionViolationError as exc:
-            checks.append(("contraction", False))
-            violation = (f"contraction violated at r = {_fmt(exc.r_at)} "
-                         f"(excess {_fmt(exc.excess)})")
-        else:
-            checks.extend(result.report.checks)
-            _write_certificate(_outdir(cfg), model, result)
+        result = run_uniqueness_analysis(
+            model, r0=cfg.r0, psi1=cfg.psi1, r_max=r_max, grid=grid,
+            picard_tol=cfg.tol, picard_max_iter=cfg.max_iter,
+            control=cfgmod.build_control(cfg))
+        checks.extend(result.report.checks)
+        _write_certificate(_outdir(cfg), model, result)
 
     for name, ok in checks:
         print(f"{name}: {'PASS' if ok else 'FAIL'}")
-    if violation is not None:
-        print(violation)
     verdict = all(ok for _, ok in checks)
     print(f"verdict = {_fmt(verdict)}")
     return 0 if verdict else 1

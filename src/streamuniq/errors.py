@@ -45,14 +45,3 @@ class StepSizeUnderflowError(StreamuniqError):
         super().__init__(message)
         self.r_at = r_at
 
-
-class ContractionViolationError(StreamuniqError):
-    """A node violates the integral contraction inequality.
-
-    ``r_at`` records the first violating radius, ``excess`` by how much.
-    """
-
-    def __init__(self, message: str, r_at: float, excess: float):
-        super().__init__(message)
-        self.r_at = r_at
-        self.excess = excess

@@ -27,7 +27,7 @@ from dataclasses import dataclass, field, fields
 
 import numpy as np
 
-from .errors import ContractionViolationError, DomainError, WindowCollapseError
+from .errors import DomainError, WindowCollapseError
 from .grids import RadialGrid, check_r0
 from .picard import (PicardDiagnostics, Trajectory, _require_valid, _weighted, check_psi1,
                      picard_solve, residual, weighted_norm)
@@ -58,8 +58,10 @@ class UniquenessReport:
 
     window_end_effective is r2, or the earlier of the two trajectories' band
     exits if that comes first; every check reads the window up to it.
-    checks holds (name, passed) for lower_bound, contraction and
-    cross_method, in that order; the verdict is their conjunction.
+    checks holds (name, passed) for lower_bound, contraction (the Picard
+    delta ratios and the probe inequality) and cross_method, in that order;
+    the verdict is their conjunction.  A failed check is only ever a False
+    entry here; no check raises.
     """
 
     r2: float
@@ -191,28 +193,25 @@ def trace_is_monotone(trace: list[tuple[float, float]], slack: float) -> bool:
 
 
 def contraction_probe(model: VorticityModel, traj_a: Trajectory, traj_b: Trajectory,
-                      window_end: float, slack: float = 0.0) -> float:
+                      window_end: float, slack: float = 0.0) -> tuple[float, bool]:
     """Check y(r) <= (C/sqrt(r0*psi1)) * int_{r0}^{r} tau*y dtau + slack nodewise.
 
     The integral is the plain trapezoid of tau*y(tau) (y extended by its
-    limit 0 at r0).  Raises ContractionViolationError at the first violating
-    node.  Returns the achieved ratio
+    limit 0 at r0).  Returns (ratio, holds): holds is False when any window
+    node violates the inequality, and ratio is
 
         (C/sqrt(r0*psi1)) * max_r int tau*y dtau / max_r y,
 
     the fraction of the peak weighted deviation the integral side can
     reproduce; the window construction caps it at 1/2 plus discretization.
-    A coincident pair (max y = 0) returns 0.
+    A coincident pair (max y = 0) has ratio 0.  The argument assumes the
+    lower bound of both trajectories, which check_lower_bound measures;
+    a zero initial slope, where the theorem does not apply, raises
+    DomainError.
     """
     if slack < 0.0 or not np.isfinite(slack):
         raise DomainError("slack must be a finite nonnegative number")
-    pre_a = check_lower_bound(traj_a, window_end)
-    pre_b = check_lower_bound(traj_b, window_end)
-    floor = -(LOWER_BOUND_TOL + slack)
-    if pre_a < floor or pre_b < floor:
-        raise DomainError(
-            f"lower-bound precondition violated (margins {pre_a!r}, {pre_b!r}); "
-            "the contraction argument does not apply")
+    check_psi1(traj_a.r0psi1)
     x = _paired_deviation(traj_a, traj_b)
     stop = _window_stop(traj_a.grid, window_end)
     nodes = traj_a.grid.nodes
@@ -223,17 +222,11 @@ def contraction_probe(model: VorticityModel, traj_a: Trajectory, traj_b: Traject
     integral = np.concatenate(([0.0], np.cumsum(0.5 * h * (g[1:] + g[:-1]))))
     coeff = model.holder_C / math.sqrt(abs(traj_a.r0psi1))
     bound = coeff * integral + slack
-    bad = np.flatnonzero(y[1:] > bound[1:])
-    if bad.size:
-        i = int(bad[0]) + 1
-        raise ContractionViolationError(
-            f"weighted deviation {float(y[i])!r} exceeds contraction bound "
-            f"{float(bound[i])!r} at r = {float(nodes[i])!r}",
-            float(nodes[i]), float(y[i] - bound[i]))
+    holds = not np.any(y[1:] > bound[1:])
     y_star = float(y.max())
     if y_star == 0.0:
-        return 0.0
-    return float(coeff * integral.max() / y_star)
+        return 0.0, holds
+    return float(coeff * integral.max() / y_star), holds
 
 
 def window_restricted_delta_ratios(diagnostics: PicardDiagnostics, grid: RadialGrid,
@@ -252,7 +245,10 @@ def window_restricted_delta_ratios(diagnostics: PicardDiagnostics, grid: RadialG
 def default_r_max(model: VorticityModel, r0: float, psi1: float) -> float:
     """Right endpoint used when none is given: r0 + 1.25*(r2 - r0)."""
     check_psi1(psi1)
-    r2, _ = compute_r2(r0, abs(psi1), model.holder_C)
+    return _r_max_past(r0, compute_r2(r0, abs(psi1), model.holder_C)[0])
+
+
+def _r_max_past(r0: float, r2: float) -> float:
     return r0 + 1.25 * (r2 - r0)
 
 
@@ -281,7 +277,7 @@ def run_uniqueness_analysis(model: VorticityModel, r0: float = 1.0, psi1: float 
     r2, binding = compute_r2(r0, abs(psi1), model.holder_C)
     if grid is None:
         if r_max is None:
-            r_max = default_r_max(model, r0, psi1)
+            r_max = _r_max_past(r0, r2)
         grid = RadialGrid.geometric(r0, r_max, 2049)
     control = control or StepControl()
 
@@ -304,7 +300,8 @@ def run_uniqueness_analysis(model: VorticityModel, r0: float = 1.0, psi1: float 
     stop = _window_stop(grid, window_end)
     cross_sup = float(_weighted(traj_p.psi[:stop] - traj_rk.psi[:stop], grid, stop).max())
 
-    probe_ratio = contraction_probe(model, traj_p, traj_rk, window_end, slack=slack)
+    probe_ratio, probe_holds = contraction_probe(model, traj_p, traj_rk, window_end,
+                                                 slack=slack)
     trace = deviation_limit_trace(traj_p, traj_rk, window_end)
 
     report = UniquenessReport(
@@ -318,7 +315,7 @@ def run_uniqueness_analysis(model: VorticityModel, r0: float = 1.0, psi1: float 
         deviation_limit_trace=trace,
         slack_budget=slack,
         checks=(("lower_bound", margin >= -LOWER_BOUND_TOL),
-                ("contraction", contraction_ratio <= CONTRACTION_RATIO_MAX),
+                ("contraction", contraction_ratio <= CONTRACTION_RATIO_MAX and probe_holds),
                 ("cross_method", cross_sup <= CROSS_METHOD_SUP_MAX)),
     )
     return AnalysisResult(report=report, hypothesis=hypothesis,

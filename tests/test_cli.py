@@ -9,8 +9,7 @@ from hypothesis import strategies as st
 
 import streamuniq
 import streamuniq.verify
-from streamuniq import (ContractionViolationError, RadialGrid, VorticityModel, continuity_sweep,
-                        run_uniqueness_analysis)
+from streamuniq import RadialGrid, VorticityModel, continuity_sweep, run_uniqueness_analysis
 from streamuniq._csvtext import format_table
 from streamuniq.cli import (CSV_BLOCK_ROWS, WRITE_SLICE_CHARS, _load, build_parser, main,
                             write_atomic, write_csv)
@@ -137,21 +136,48 @@ def test_verify_prints_the_threshold_the_verdict_used(tmp_path, capsys, monkeypa
     assert code == 1
 
 
-def test_verify_contraction_violation_exits_one(tmp_path, capsys, monkeypatch):
-    def violate(*args, **kwargs):
-        raise ContractionViolationError("x", 1.25, 3e-9)
+CERT_ARTIFACTS = ["report.txt", "trace.csv", "trace.svg", "trajectory_picard.csv",
+                  "trajectory_rk.csv"]
 
-    monkeypatch.setattr(streamuniq.verify, "contraction_probe", violate)
+
+def test_verify_contraction_violation_exits_one(tmp_path, capsys, monkeypatch):
+    # a violated probe inequality is one FAIL line, like any other check
+    monkeypatch.setattr(streamuniq.verify, "contraction_probe",
+                        lambda *args, **kwargs: (0.25, False))
     out = tmp_path / "cert"
     code = main(["verify", "--out", str(out)])
     assert code == 1
     assert capsys.readouterr().out == (
         "sign_condition: PASS\n"
         "holder_bound: PASS\n"
+        "lower_bound: PASS\n"
         "contraction: FAIL\n"
-        "contraction violated at r = 1.25 (excess 3e-09)\n"
+        "cross_method: PASS\n"
         "verdict = false\n")
-    assert not out.exists()
+    assert sorted(os.listdir(out)) == CERT_ARTIFACTS
+    report = _read(out / "report.txt")
+    assert "probe_ratio = 0.25\n" in report
+    assert "verdict = false\n" in report
+
+
+def test_verify_lower_bound_violation_exits_one(tmp_path, capsys, monkeypatch):
+    # a solution below the logarithmic term fails lower_bound (exit 1), not
+    # an input check (exit 2)
+    monkeypatch.setattr(streamuniq.verify, "check_lower_bound", lambda *args: -1.0)
+    out = tmp_path / "cert"
+    code = main(["verify", "--out", str(out)])
+    assert code == 1
+    captured = capsys.readouterr()
+    assert captured.out == (
+        "sign_condition: PASS\n"
+        "holder_bound: PASS\n"
+        "lower_bound: FAIL\n"
+        "contraction: PASS\n"
+        "cross_method: PASS\n"
+        "verdict = false\n")
+    assert captured.err == ""
+    assert sorted(os.listdir(out)) == CERT_ARTIFACTS
+    assert "lower_bound_margin = -1\n" in _read(out / "report.txt")
 
 
 def test_verify_window_without_interior_node_exits_three(tmp_path, capsys):

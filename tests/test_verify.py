@@ -4,13 +4,13 @@ import pytest
 import streamuniq.picard
 import streamuniq.rk
 import streamuniq.verify
-from streamuniq import (ContractionViolationError, DomainError, ModelValidationError, RadialGrid,
-                        VorticityModel, WindowCollapseError, continuity_sweep, picard_solve,
+from streamuniq import (DomainError, ModelValidationError, RadialGrid, VorticityModel,
+                        WindowCollapseError, continuity_sweep, picard_solve,
                         run_uniqueness_analysis, validate_hypotheses, weighted_norm)
 from streamuniq.picard import Trajectory
-from streamuniq.verify import (check_lower_bound, compute_r2, contraction_probe,
-                               deviation_limit_trace, trace_is_monotone,
-                               window_restricted_delta_ratios)
+from streamuniq.verify import (LOWER_BOUND_TOL, check_lower_bound, compute_r2,
+                               contraction_probe, default_r_max, deviation_limit_trace,
+                               trace_is_monotone, window_restricted_delta_ratios)
 from streamuniq.vorticity import zero_vorticity
 
 SQRT2 = 1.4142135623730951
@@ -230,18 +230,18 @@ def test_contraction_probe_flags_constant_deviation():
     # integral vanishes; the first interior node must violate
     ta, tb = _toy_pair(alpha=1e-6)
     model = VorticityModel.classical()
-    with pytest.raises(ContractionViolationError) as err:
-        contraction_probe(model, ta, tb, 2.0, slack=0.0)
-    assert err.value.r_at == ta.nodes[1]
-    assert err.value.excess > 0.0
-    # enough slack absorbs the whole deviation scale
-    ratio = contraction_probe(model, ta, tb, 2.0, slack=1e-5)
+    ratio, holds = contraction_probe(model, ta, tb, 2.0, slack=0.0)
+    assert holds is False
+    # a window holding only the first interior node already fails
+    assert contraction_probe(model, ta, tb, ta.nodes[1], slack=0.0)[1] is False
+    # enough slack absorbs the whole deviation scale; the ratio ignores slack
+    assert contraction_probe(model, ta, tb, 2.0, slack=1e-5) == (ratio, True)
     assert ratio > 0.0
 
 
 def test_contraction_probe_coincident_pair():
     ta, tb = _toy_pair(alpha=0.0)
-    assert contraction_probe(VorticityModel.classical(), ta, tb, 2.0) == 0.0
+    assert contraction_probe(VorticityModel.classical(), ta, tb, 2.0) == (0.0, True)
 
 
 def test_window_without_interior_node_collapses():
@@ -257,10 +257,29 @@ def test_contraction_probe_guards():
     model = VorticityModel.classical()
     with pytest.raises(DomainError, match="slack"):
         contraction_probe(model, ta, tb, 2.0, slack=-1.0)
+    # a pair below the logarithmic term is the lower_bound check's to fail;
+    # the probe only measures the inequality
     low = Trajectory(grid=ta.grid, psi=0.9 * ta.psi, u=ta.u, window_end=2.0,
                      method_tag="picard")
-    with pytest.raises(DomainError, match="precondition"):
-        contraction_probe(model, low, low, 2.0)
+    assert check_lower_bound(low, 2.0) < -LOWER_BOUND_TOL
+    assert contraction_probe(model, low, low, 2.0) == (0.0, True)
+
+
+def test_contraction_probe_refuses_a_zero_slope():
+    # psi1 = 0 has the two solutions 0 and about (r - r0)^4/144, so the
+    # theorem does not apply; the pair is refused before coeff = C/sqrt(0)
+    grid = RadialGrid.geometric(1.0, 1.3, 65)
+
+    def flat_start(psi, tag):
+        return Trajectory(grid=grid, psi=psi, u=np.zeros(grid.n), window_end=1.3,
+                          method_tag=tag)
+
+    zero = np.zeros(grid.n)
+    branch = (grid.nodes - 1.0) ** 4 / 144.0
+    for other in (zero, branch):
+        with pytest.raises(DomainError, match="psi1 must be finite and nonzero"):
+            contraction_probe(VorticityModel.classical(), flat_start(zero, "picard"),
+                              flat_start(other, "rk"), 1.3)
 
 
 def test_continuity_sweep_small():
@@ -351,6 +370,19 @@ def test_a_grid_alone_skips_the_default_r_max(classical_model, monkeypatch):
     monkeypatch.setattr("streamuniq.verify.default_r_max", unused)
     grid = RadialGrid.geometric(1.0, 1.5, 513)
     assert run_uniqueness_analysis(classical_model, grid=grid).report.verdict
+
+
+def test_default_r_max_reuses_the_window_radius(classical_model, monkeypatch):
+    calls = []
+
+    def counting(*args):
+        calls.append(args)
+        return compute_r2(*args)
+
+    monkeypatch.setattr("streamuniq.verify.compute_r2", counting)
+    res = run_uniqueness_analysis(classical_model)
+    assert calls == [(1.0, 1.0, classical_model.holder_C)]
+    assert res.traj_picard.grid.r_max == default_r_max(classical_model, 1.0, 1.0)
 
 
 def test_analysis_and_sweep_sample_the_law_once(classical_model, monkeypatch):

@@ -21,8 +21,10 @@ digests:
   ``sweep-mixed`` mixes signs and repeats its baseline, so it covers the
   sweep's reuse of a solved slope and its same-sign continuation;
   ``integrate-rk-underflow`` runs ``underflow_law`` (the child imports it
-  from this script's directory), and ``verify-tol-zero`` pins which input
-  check answers ``--tol 0``.
+  from this script's directory), ``verify-tol-zero`` pins which input
+  check answers ``--tol 0``, and ``verify-cross-method-fail`` (a loose
+  tolerance on 33 nodes) pins how a failed check ends a run: its ``FAIL``
+  line, exit 1 and all five artifacts.
 
 OUT.json holds one digest per line, so two trees compare with ``cmp`` and
 ``diff`` names the items that differ.  Needs only the standard library and
@@ -129,6 +131,7 @@ COMMANDS = (
     ("verify-oscillatory-neg", ["verify", "--model", "oscillatory", "--psi1", "-1.3"], None),
     ("verify-zero", ["verify"], ZERO_INI),
     ("verify-tol-zero", ["verify", "--tol", "0"], None),
+    ("verify-cross-method-fail", ["verify", "--tol", "1e-3", "--nodes", "33"], None),
     ("verify-1m", ["verify", "--nodes", "1048577", "--r-max", "1.5"], None),
     ("verify-1m-oscillatory-neg", ["verify", "--model", "oscillatory", "--psi1", "-1.3",
                                    "--nodes", "1048577", "--r-max", "1.5"], None),
