@@ -56,7 +56,8 @@ class VorticityModel:
         Oscillatory frequency; zero for the other kinds.  c1 = sin(c2/2) is
         derived, the one value the constraint chain admits.
     fn : callable, optional
-        Scalar law for custom models.  Must satisfy fn(0) == 0.
+        Scalar law for custom models.  Must be a pure function of psi with
+        fn(0) == 0: its values are sampled once per model, on first use.
     """
 
     kind: str
@@ -65,6 +66,9 @@ class VorticityModel:
     c1: float = field(init=False)
     c2: float = 0.0
     fn: Callable[[float], float] | None = None
+    # (sign_margin, holder_sup, samples_used) once validate_hypotheses has
+    # sampled the law; it does not depend on holder_C
+    _evidence: tuple[float, float, int] | None = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
         if self.kind not in ("classical", "oscillatory", "custom"):
@@ -107,20 +111,27 @@ class VorticityModel:
         """Wrap a scalar callable.  Without an explicit holder_C the constant is
         set to 1.25x the sampled quotient supremum, or to 1.0 where that is
         not finite and positive (a zero, nan or infinite supremum)."""
+        evidence = None
         if holder_C is None:
             probe = cls(kind="custom", delta=delta, holder_C=1.0, fn=fn)
-            sup, _ = estimate_holder_constant(probe)
-            holder_C = 1.25 * sup
+            evidence = _sample_evidence(probe)
+            holder_C = 1.25 * evidence[1]
             if not (np.isfinite(holder_C) and holder_C > 0.0):
                 holder_C = 1.0
-        return cls(kind="custom", delta=delta, holder_C=holder_C, fn=fn)
+        model = cls(kind="custom", delta=delta, holder_C=holder_C, fn=fn)
+        # the same law on the same band: its first report reuses the probe's samples
+        object.__setattr__(model, "_evidence", evidence)
+        return model
 
     # -- evaluation ---------------------------------------------------------
 
     def evaluate(self, psi: float) -> float:
         psi = float(psi)
         if self.kind == "custom":
-            return float(self.fn(psi))
+            try:
+                return float(self.fn(psi))
+            except Exception as exc:
+                raise _law_failure(exc) from exc
         if self.kind == "classical":
             return float(_kernels.f_classical(psi))
         return float(_kernels.f_oscillatory(self.c1, self.c2, psi))
@@ -128,8 +139,22 @@ class VorticityModel:
     def evaluate_grid(self, psi) -> np.ndarray:
         arr = np.asarray(psi, dtype=np.float64)
         if self.kind == "custom":
-            return np.frompyfunc(self.fn, 1, 1)(arr).astype(np.float64)
+            try:
+                values = np.frompyfunc(self.fn, 1, 1)(arr)
+                out = values.astype(np.float64)
+                # astype reads None as nan; float() refuses it, as in evaluate
+                for value in values[np.isnan(out)]:
+                    float(value)
+            except Exception as exc:
+                raise _law_failure(exc) from exc
+            return out
         return _kernels.vorticity_grid(self.kind, self.c1, self.c2, arr)
+
+
+def _law_failure(exc: Exception) -> ModelValidationError:
+    """What a custom law that raised, or returned a value float() refuses,
+    raises instead; the caller chains it from exc."""
+    return ModelValidationError(f"custom law failed: {type(exc).__name__}: {exc}")
 
 
 @dataclass(frozen=True)
@@ -213,14 +238,14 @@ def estimate_holder_constant(model: VorticityModel) -> tuple[float, int]:
 
 
 @np.errstate(all="ignore")
-def validate_hypotheses(model: VorticityModel) -> HypothesisReport:
-    """Sample both hypotheses and report one check for each.
+def _sample_evidence(model: VorticityModel) -> tuple[float, float, int]:
+    """(sign_margin, holder_sup, samples_used) of the law on the model's band.
 
     The sign condition psi*f(psi) < 0 is sampled at psi = 0 and at +-2000
     log-spaced magnitudes accumulating at 0.  Its margin is the raw minimum
     of -psi*f(psi); it decays like |psi|^{3/2} for the builtin laws, so
-    strict positivity (not size) is the meaningful outcome.  The bound is
-    the sampled supremum from estimate_holder_constant against holder_C.
+    strict positivity (not size) is the meaningful outcome.  holder_sup is
+    the sampled supremum from estimate_holder_constant.
     """
     mags = model.delta * np.logspace(0.0, -12.0, 2000)
     samples = np.concatenate([mags, -mags])
@@ -229,10 +254,25 @@ def validate_hypotheses(model: VorticityModel) -> HypothesisReport:
     if f0 != 0.0:
         margin = float(np.minimum(margin, -abs(f0)))
     holder_sup, pairs = estimate_holder_constant(model)
+    return margin, holder_sup, samples.size + 1 + pairs
+
+
+def validate_hypotheses(model: VorticityModel) -> HypothesisReport:
+    """Report one check for each hypothesis: the sampled sign margin must be
+    positive and the sampled supremum at most holder_C.
+
+    The law is sampled on the model's first call only (or in
+    VorticityModel.custom, which samples it to derive holder_C); every later
+    call reuses that evidence and checks it against the model's holder_C.
+    A model made by dataclasses.replace or a new construction samples again.
+    """
+    if model._evidence is None:
+        object.__setattr__(model, "_evidence", _sample_evidence(model))
+    margin, holder_sup, samples_used = model._evidence
     return HypothesisReport(
         sign_margin=margin,
         holder_sup=holder_sup,
-        samples_used=samples.size + 1 + pairs,
+        samples_used=samples_used,
         checks=(("sign_condition", margin > 0.0),
                 ("holder_bound", holder_sup <= model.holder_C)),
     )

@@ -532,6 +532,26 @@ def infinite_near_zero(psi):
     if 0.0 < abs(psi) < 1e-3:
         return math.inf
     return psi - psi / math.sqrt(abs(psi)) if psi != 0.0 else 0.0
+
+
+def raises_everywhere(psi):
+    raise ArithmeticError("no value here")
+
+
+def returns_none(psi):
+    return None
+
+
+def returns_text(psi):
+    return "x"
+
+
+def raises_beyond_the_band(psi):
+    # the classical law, undefined beyond |psi| = 0.3: validation samples
+    # only the band, and the RK solution crosses 0.3
+    if abs(psi) > 0.3:
+        raise ArithmeticError("undefined beyond 0.3")
+    return psi - psi / math.sqrt(abs(psi)) if psi != 0.0 else 0.0
 """
 
 
@@ -571,6 +591,29 @@ def test_law_not_finite_on_the_band_prints_only_the_validation_error(tmp_path):
         "error: model failed hypothesis validation (sign_margin=-inf, holder_sup=nan, "
         "holder_C=2.0); only picard_solve and rk_solve can skip this check, "
         "with allow_unvalidated=True\n")
+
+
+@pytest.mark.parametrize("command", ["validate-model", "verify"])
+@pytest.mark.parametrize("law, message", [
+    ("raises_everywhere", "ArithmeticError: no value here"),
+    ("returns_none",
+     "TypeError: float() argument must be a string or a real number, not 'NoneType'"),
+    ("returns_text", "ValueError: could not convert string to float: 'x'"),
+])
+def test_a_failing_custom_law_prints_one_error_line(tmp_path, command, law, message):
+    proc = _run_with_law(tmp_path, [command], law)
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert proc.stderr == f"error: custom law failed: {message}\n"
+    assert not (tmp_path / "out").exists()
+
+
+def test_a_law_raising_beyond_the_band_stops_rk_with_one_error_line(tmp_path):
+    proc = _run_with_law(tmp_path, ["integrate", "--method", "rk"], "raises_beyond_the_band")
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert proc.stderr == "error: custom law failed: ArithmeticError: undefined beyond 0.3\n"
+    assert not (tmp_path / "out").exists()
 
 
 def test_module_entrypoint_runs():

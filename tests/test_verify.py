@@ -1,17 +1,19 @@
 import numpy as np
 import pytest
 
+import streamuniq.cli
 import streamuniq.picard
 import streamuniq.rk
 import streamuniq.verify
 from streamuniq import (DomainError, ModelValidationError, RadialGrid, VorticityModel,
                         WindowCollapseError, continuity_sweep, picard_solve,
                         run_uniqueness_analysis, validate_hypotheses, weighted_norm)
+from streamuniq.cli import main
 from streamuniq.picard import Trajectory
 from streamuniq.verify import (LOWER_BOUND_TOL, check_lower_bound, compute_r2,
                                contraction_probe, default_r_max, deviation_limit_trace,
                                trace_is_monotone, window_restricted_delta_ratios)
-from streamuniq.vorticity import zero_vorticity
+from streamuniq.vorticity import estimate_holder_constant, zero_vorticity
 
 SQRT2 = 1.4142135623730951
 
@@ -400,6 +402,35 @@ def test_analysis_and_sweep_sample_the_law_once(classical_model, monkeypatch):
     assert calls == [classical_model]
     continuity_sweep(classical_model, 1.0, [1.0, 1.001, 1.01], grid=grid)
     assert calls == [classical_model, classical_model]
+
+
+def test_each_model_is_sampled_once_across_layers(tmp_path, monkeypatch, capsys):
+    sampled, validated = [], []
+
+    def sampling(model):
+        sampled.append(model)
+        return estimate_holder_constant(model)
+
+    def counting(model):
+        validated.append(model)
+        return validate_hypotheses(model)
+
+    monkeypatch.setattr("streamuniq.vorticity.estimate_holder_constant", sampling)
+    for module in (streamuniq.verify, streamuniq.cli):
+        monkeypatch.setattr(module, "validate_hypotheses", counting)
+    model = VorticityModel.classical()
+    grid = RadialGrid.geometric(1.0, 1.5, 513)
+    run_uniqueness_analysis(model, grid=grid)
+    continuity_sweep(model, 1.0, [1.0, 1.001, 1.01], grid=grid)
+    run_uniqueness_analysis(model, r0=2.0, psi1=-0.5, grid=RadialGrid.geometric(2.0, 2.5, 257))
+    assert validated == [model] * 3
+    assert sampled == [model]
+    # verify builds its own model and validates it twice: one sampling
+    main(["verify", "--nodes", "65", "--out", str(tmp_path / "cert")])
+    assert capsys.readouterr().out.startswith("sign_condition: PASS\nholder_bound: PASS\n")
+    built = validated[3]
+    assert validated[3:] == [built, built] and built is not model
+    assert sampled == [model, built]
 
 
 def test_analysis_and_sweep_reject_a_failing_law():

@@ -1,4 +1,6 @@
+import dataclasses
 import math
+import re
 
 import numpy as np
 import pytest
@@ -235,3 +237,113 @@ def test_validate_hypotheses_verdicts(classical_model, oscillatory_model):
         assert report.samples_used > 200_000
     bad = VorticityModel.custom(zero_vorticity, holder_C=1.0)
     assert not validate_hypotheses(bad).verdict
+
+
+# the two custom laws of the cert-batch benchmark (perfbench/workloads.py)
+def odd_root_law(p):
+    return p - math.copysign(math.sqrt(abs(p)), p)
+
+
+def lopsided_law(p):
+    v = p - math.copysign(math.sqrt(abs(p)), p)
+    return 2.0 * v if p < 0.0 else v
+
+
+def _count_sampling(monkeypatch):
+    calls = []
+
+    def counting(model):
+        calls.append(model)
+        return estimate_holder_constant(model)
+
+    monkeypatch.setattr("streamuniq.vorticity.estimate_holder_constant", counting)
+    return calls
+
+
+def test_two_reports_sample_the_law_once(monkeypatch):
+    calls = _count_sampling(monkeypatch)
+    model = VorticityModel.classical()
+    first = validate_hypotheses(model)
+    second = validate_hypotheses(model)
+    assert calls == [model]
+    assert second == first and second is not first
+
+
+@pytest.mark.parametrize("factory", [
+    VorticityModel.classical,
+    VorticityModel.oscillatory,
+    lambda: VorticityModel.custom(odd_root_law),
+    lambda: VorticityModel.custom(lopsided_law),
+], ids=["classical", "oscillatory", "odd-root", "lopsided"])
+def test_a_reused_model_reports_what_a_fresh_one_does(factory):
+    reused = factory()
+    validate_hypotheses(reused)
+    again = validate_hypotheses(reused)
+    fresh = validate_hypotheses(factory())
+    assert dataclasses.asdict(again) == dataclasses.asdict(fresh)
+    assert again.verdict
+
+
+def test_replace_gives_a_model_that_samples_again(monkeypatch):
+    classical = VorticityModel.classical()
+    assert validate_hypotheses(classical).verdict
+    calls = _count_sampling(monkeypatch)
+    tight = dataclasses.replace(classical, holder_C=0.4)
+    report = validate_hypotheses(tight)
+    assert calls == [tight]
+    # the sampled sup of the classical law is 1/2 (plus float error)
+    assert 0.5 <= report.holder_sup <= 0.5001
+    assert report.checks == (("sign_condition", True), ("holder_bound", False))
+    assert validate_hypotheses(classical).verdict
+    assert calls == [tight]
+
+
+def test_the_sampled_evidence_is_neither_an_argument_nor_shown():
+    with pytest.raises(TypeError):
+        VorticityModel(kind="classical", delta=0.25, holder_C=1.0, _evidence=(1.0, 0.5, 3))
+    model = VorticityModel.classical()
+    validate_hypotheses(model)
+    assert repr(model) == ("VorticityModel(kind='classical', delta=0.25, holder_C=1.0, "
+                           "c1=0.0, c2=0.0, fn=None)")
+
+
+def test_a_custom_law_is_sampled_once_from_construction_to_report(monkeypatch):
+    calls = _count_sampling(monkeypatch)
+    model = VorticityModel.custom(odd_root_law)
+    assert len(calls) == 1
+    report = validate_hypotheses(model)
+    assert len(calls) == 1
+    assert report.verdict and model.holder_C == 1.25 * report.holder_sup
+    # an explicit constant samples nothing until the first report
+    explicit = VorticityModel.custom(odd_root_law, holder_C=1.0)
+    assert len(calls) == 1
+    assert validate_hypotheses(explicit).holder_sup == report.holder_sup
+    assert calls[1:] == [explicit]
+
+
+def _raising_law(p):
+    raise ArithmeticError("no value here")
+
+
+@pytest.mark.parametrize("law, cause, message", [
+    (_raising_law, ArithmeticError, "ArithmeticError: no value here"),
+    (lambda p: None, TypeError,
+     "TypeError: float() argument must be a string or a real number, not 'NoneType'"),
+    (lambda p: "x", ValueError, "ValueError: could not convert string to float: 'x'"),
+], ids=["raises", "none", "text"])
+def test_a_failing_custom_law_is_a_validation_error(law, cause, message):
+    expected = "^" + re.escape("custom law failed: " + message) + "$"
+    model = VorticityModel.custom(law, holder_C=1.0)
+    with pytest.raises(ModelValidationError, match=expected) as err:
+        validate_hypotheses(model)
+    assert isinstance(err.value.__cause__, cause)
+    # nothing is kept from a sampling that raised
+    assert model._evidence is None
+    with pytest.raises(ModelValidationError, match=expected) as err:
+        VorticityModel.custom(law)
+    assert isinstance(err.value.__cause__, cause)
+    with pytest.raises(ModelValidationError, match=expected):
+        model.evaluate(0.1)
+    with pytest.raises(ModelValidationError, match=expected):
+        model.evaluate_grid(np.array([0.0, 0.1]))
+

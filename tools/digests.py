@@ -12,6 +12,9 @@ digests:
   constraint and effective end, and each trajectory's band exit), or the
   error an analysis raised;
 - the ``continuity_sweep`` rows of 8 sweep-fine cases;
+- the hypothesis report of each of the six benchmark laws, on a freshly
+  built model (``api/hypothesis/<law>``) and on that model again after one
+  analysis (``api/hypothesis-reused/<law>``);
 - the error ``rk_solve`` raises when the step size underflows, driven by
   ``underflow_law`` below;
 - stdout, stderr, exit code and every artifact of a fixed set of
@@ -95,6 +98,18 @@ def sweep_digests(out: dict) -> None:
         case = make_case("sweep-fine", 0, i)
         rows = sweep_op(models, case, sweep_prepare(case))
         out[f"sweep/{i}"] = sha(repr([(float(d), float(s)) for d, s in rows]))
+
+
+def hypothesis_digests(out: dict) -> None:
+    from perfbench.workloads import MODEL_FACTORIES
+    from streamuniq.verify import run_uniqueness_analysis
+    from streamuniq.vorticity import validate_hypotheses
+
+    for law, factory in MODEL_FACTORIES.items():
+        model = factory()
+        out[f"api/hypothesis/{law}"] = sha(repr(validate_hypotheses(model)))
+        run_uniqueness_analysis(model, r0=1.0, psi1=1.0)
+        out[f"api/hypothesis-reused/{law}"] = sha(repr(validate_hypotheses(model)))
 
 
 def underflow_law(psi: float) -> float:
@@ -186,6 +201,7 @@ def main(argv: list[str]) -> int:
     out: dict = {}
     cert_digests(out)
     sweep_digests(out)
+    hypothesis_digests(out)
     underflow_digest(out)
     cli_digests(out, tree)
     with open(out_path, "w", encoding="utf-8") as fh:
